@@ -76,7 +76,7 @@ class DissimilarityGraph:
 
 
 class Filtration:
-    """Simplices tagged with birth values, sorted by (birth, dim, vertices).
+    """Distinct simplices tagged with birth values, sorted by (birth, dim, vertices).
 
     Every face of a simplex appears earlier with birth no larger than
     the simplex's own; :func:`build_vr_filtration` guarantees this by
@@ -90,7 +90,11 @@ class Filtration:
         keys = [(b, s.dim, s.vertices) for s, b in entries]
         if keys != sorted(keys):
             raise ValueError("filtration entries must be sorted by (birth, dim, vertices)")
+        seen = set()
         for s, b in entries:
+            if s.vertices in seen:
+                raise ValueError(f"{s!r} appears more than once in the filtration")
+            seen.add(s.vertices)
             if b < 0:
                 raise ValueError(f"negative birth {b} for {s!r}")
             if s.dim > max_dim:
@@ -140,15 +144,17 @@ class Filtration:
 
     def validate(self) -> list[str]:
         """Closure and birth-monotonicity violations (empty when sound)."""
-        births = {s: b for s, b in self._entries}
+        births = {s.vertices: b for s, b in self._entries}
         problems = []
         for s, b in self._entries:
-            for face in s.faces():
+            vs = s.vertices
+            for j in range(len(vs) if len(vs) > 1 else 0):
+                face = vs[:j] + vs[j + 1 :]
                 fb = births.get(face)
                 if fb is None:
-                    problems.append(f"{s!r} present without its face {face!r}")
+                    problems.append(f"{s!r} present without its face {Simplex(face)!r}")
                 elif fb > b:
-                    problems.append(f"face {face!r} born at {fb} after {s!r} at {b}")
+                    problems.append(f"face {Simplex(face)!r} born at {fb} after {s!r} at {b}")
         return problems
 
     def to_tsv(self, stream: TextIO) -> None:

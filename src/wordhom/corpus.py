@@ -8,6 +8,7 @@ blank lines are skipped; words are upper-cased and stripped.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, TextIO
 
 from .clustering import WeightedGraph
@@ -218,6 +219,8 @@ def parse_edge_list(stream: TextIO) -> AssociationCorpus:
             s = float(parts[2])
         except ValueError:
             raise DataFormatError(lineno, f"strength must be a number, got {parts[2]!r}")
+        if not math.isfinite(s):
+            raise DataFormatError(lineno, f"strength must be finite, got {parts[2]!r}")
         if s < 0.0 or s > 1.0:
             raise DataFormatError(lineno, f"strength {s} outside (0, 1]")
         if a == b:

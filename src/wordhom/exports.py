@@ -118,12 +118,14 @@ def read_filtration_tsv(stream: TextIO) -> "Filtration":
     """Read `birth<TAB>v0,v1,...,vk` rows back into a filtration.
 
     Lets explicitly listed complexes (not necessarily clique-complete)
-    enter the persistence pipeline.
+    enter the persistence pipeline. A non-finite birth or a simplex
+    listed twice is a :class:`DataFormatError` naming its line.
     """
     from .complexes import Filtration
     from .simplices import Simplex
 
     entries = []
+    first_line: dict[tuple[int, ...], int] = {}
     for lineno, raw in enumerate(stream, 1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -137,6 +139,13 @@ def read_filtration_tsv(stream: TextIO) -> "Filtration":
             simplex = Simplex(vertices)
         except ValueError as exc:
             raise DataFormatError(lineno, str(exc))
+        if not math.isfinite(birth):
+            raise DataFormatError(lineno, f"birth must be finite, got {parts[0]!r}")
+        if vertices in first_line:
+            raise DataFormatError(
+                lineno, f"simplex {parts[1]} already listed on line {first_line[vertices]}"
+            )
+        first_line[vertices] = lineno
         entries.append((simplex, birth))
     entries.sort(key=lambda e: (e[1], e[0].dim, e[0].vertices))
     max_dim = max((s.dim for s, _ in entries), default=0)

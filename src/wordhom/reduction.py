@@ -1,10 +1,31 @@
-"""Persistence by left-to-right boundary-column reduction over Z/p."""
+"""Persistence over Z/p by coboundary reduction with clearing.
+
+Pairs and essential classes come from reducing the coboundary matrix
+(de Silva, Morozov & Vejdemo-Johansson 2011, "Dualities in persistent
+(co)homology"), dimension by dimension from the bottom up, with the
+simplices of each dimension taken in reverse filtration order. A simplex
+that kills a class one dimension lower has a coboundary column that
+would reduce to zero, so it is skipped ("clearing", Chen & Kerber 2011,
+"Persistent homology computation with a twist"); top-dimension simplices
+have empty coboundaries and cost nothing. The boundary and coboundary
+matrices have the same persistence pairing, so the barcode is that of
+the standard left-to-right boundary reduction.
+
+Representative cycles need reduced boundary columns, which the
+cohomology pass does not produce. :meth:`ReducedFiltration.representative`
+builds them one dimension at a time on first use, by left-to-right
+reduction of only the columns that matter there: the death columns,
+which are the only ones that own a pivot, and the essential columns,
+whose accumulated chains are the essential cycles. The cycles are
+therefore those of the full left-to-right reduction.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import Callable, Iterator
 
 from .chains import Chain
 from .complexes import Filtration
@@ -111,30 +132,69 @@ def _sub_scaled(col: dict[int, int], other: dict[int, int], factor: int, p: int)
     return col
 
 
-class ReducedFiltration:
-    """Outcome of the column reduction: pairings plus the data needed
-    to recover representative cycles.
+def _boundary(vertices: tuple[int, ...], index: dict[tuple[int, ...], int], p: int) -> dict[int, int]:
+    """Boundary column of a simplex: face position -> alternating sign."""
+    if len(vertices) == 1:
+        return {}
+    return {
+        index[vertices[:pos] + vertices[pos + 1 :]]: 1 if pos % 2 == 0 else p - 1
+        for pos in range(len(vertices))
+    }
 
-    ``columns[j]`` is the reduced boundary column of simplex j (rows
-    index earlier simplices); ``combinations[j]`` records which columns
-    were accumulated into j, i.e. the chain whose boundary columns[j] is.
+
+# A reduced column with the combination of original columns that sums
+# to it (None when combinations are not tracked).
+Reduced = tuple[dict[int, int], dict[int, int] | None]
+
+
+def _reduce_column(
+    col: dict[int, int],
+    pivot: Callable[[dict[int, int]], int],
+    owners: dict[int, Reduced],
+    field: PrimeField,
+    combo: dict[int, int] | None = None,
+) -> int | None:
+    """Subtract owned columns from col (in place) until its pivot row
+    has no owner; return that row, or None when col empties.
+
+    ``owners`` maps a pivot row to the reduced column that owns it;
+    ``combo``, when given, accumulates the same multiples of the
+    owners' combinations.
+    """
+    p = field.p
+    while col:
+        row = pivot(col)
+        owner = owners.get(row)
+        if owner is None:
+            return row
+        other, other_combo = owner
+        factor = col[row] * field.inv(other[row]) % p
+        _sub_scaled(col, other, factor, p)
+        if combo is not None:
+            _sub_scaled(combo, other_combo, factor, p)
+    return None
+
+
+class ReducedFiltration:
+    """Outcome of the reduction: the persistence pairs ``(birth, death)``,
+    sorted by death, and the essential simplices, sorted by position.
+
+    Representative cycles are computed on demand and cached per
+    dimension; see :meth:`representative`.
     """
 
     def __init__(
         self,
         filtration: Filtration,
         field: PrimeField,
-        columns: list[dict[int, int]],
-        combinations: list[dict[int, int]],
         pairs: list[tuple[int, int]],
         essentials: list[int],
     ):
         self.filtration = filtration
         self.field = field
-        self._columns = columns
-        self._combinations = combinations
         self.pairs = tuple(pairs)
         self.essentials = tuple(essentials)
+        self._boundary_cache: dict[int, dict[int, Reduced]] = {}
 
     def barcode(self) -> Barcode:
         entries = self.filtration.entries
@@ -148,83 +208,118 @@ class ReducedFiltration:
             intervals.append(Interval(s.dim, b, math.inf, i, None))
         return Barcode(intervals)
 
+    @cached_property
+    def _death_of(self) -> dict[int, int | None]:
+        """Birth index -> death index, None for essential classes."""
+        out: dict[int, int | None] = dict(self.pairs)
+        out.update((i, None) for i in self.essentials)
+        return out
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {s.vertices: i for i, (s, _) in enumerate(self.filtration.entries)}
+
+    def _boundary_columns(self, dim: int) -> dict[int, Reduced]:
+        """Left-to-right reduced boundary columns of the dim-simplices
+        that kill a class or are essential, keyed by position.
+
+        The combinations are tracked only when dim has essential
+        classes, the only ones whose cycles need them.
+        """
+        cached = self._boundary_cache.get(dim)
+        if cached is not None:
+            return cached
+        entries = self.filtration.entries
+        essentials = [i for i in self.essentials if entries[i][0].dim == dim]
+        deaths = [j for _, j in self.pairs if entries[j][0].dim == dim]
+        track = bool(essentials)
+        owners: dict[int, Reduced] = {}
+        columns: dict[int, Reduced] = {}
+        for j in sorted(deaths + essentials):
+            col = _boundary(entries[j][0].vertices, self._index, self.field.p)
+            combo = {j: 1} if track else None
+            low = _reduce_column(col, max, owners, self.field, combo)
+            if low is not None:
+                owners[low] = (col, combo)
+            columns[j] = (col, combo)
+        self._boundary_cache[dim] = columns
+        return columns
+
     def representative(self, interval: Interval) -> Chain:
         """A cycle alive exactly on the interval.
 
-        For a class killed by a simplex, the reduced column of the
-        killer; for a dim-0 class, the single younger vertex; for an
+        For a class killed by a simplex, the reduced boundary column of
+        the killer; for a dim-0 class, the single younger vertex; for an
         essential class, the accumulated combination whose boundary
         vanished.
         """
         entries = self.filtration.entries
         i = interval.birth_index
-        if i is None or not 0 <= i < len(entries):
-            raise ValueError(f"interval {interval} does not belong to this reduction")
-        if interval.death_index is None:
-            if i not in self.essentials:
-                raise ValueError(f"interval {interval} does not belong to this reduction")
-            terms = {entries[c][0]: v for c, v in self._combinations[i].items()}
-            return Chain(interval.dim, terms)
         j = interval.death_index
-        if (i, j) not in self.pairs:
+        if i is None or self._death_of.get(i, -1) != j or entries[i][0].dim != interval.dim:
             raise ValueError(f"interval {interval} does not belong to this reduction")
-        if interval.dim == 0:
-            return Chain(0, {entries[i][0]: 1})
-        terms = {entries[r][0]: v for r, v in self._columns[j].items()}
+        if j is None:
+            _, combo = self._boundary_columns(interval.dim)[i]
+            terms = {entries[c][0]: v for c, v in combo.items()}
+        elif interval.dim == 0:
+            terms = {entries[i][0]: 1}
+        else:
+            col, _ = self._boundary_columns(interval.dim + 1)[j]
+            terms = {entries[r][0]: v for r, v in col.items()}
         return Chain(interval.dim, terms)
 
     def __repr__(self) -> str:
         return (
-            f"ReducedFiltration({len(self._columns)} columns, "
+            f"ReducedFiltration({len(self.filtration)} columns, "
             f"{len(self.pairs)} pairs, {len(self.essentials)} essential)"
         )
 
 
 def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltration:
-    """Standard left-to-right reduction with lowest-row bookkeeping.
+    """Persistence pairs and essential classes of a filtration over Z/p.
 
-    Columns are processed in filtration order; whenever a column shares
-    its lowest nonzero row with an earlier reduced column, that column
-    is subtracted off. A column that empties creates a class; one that
-    survives kills the class created at its lowest row. Because rows
-    are filtration-ordered, the class dying at a merge is always the
-    younger one, with ties resolved by filtration position.
+    For each dimension d, the coboundary column of every d-simplex not
+    cleared by dimension d - 1 is reduced, in reverse filtration order,
+    against the columns already reduced; its pivot is its earliest
+    coface. A column left nonempty pairs its simplex (birth) with the
+    pivot (death) and clears the pivot's column in dimension d + 1; a
+    column that empties is an essential class. Ties are broken by
+    filtration position, so at a merge the younger class dies.
     """
     problems = filtration.validate()
     if problems:
         raise ValueError(f"filtration violates its invariants: {problems[:3]}")
     entries = filtration.entries
-    index = {s: i for i, (s, _) in enumerate(entries)}
+    index = {s.vertices: i for i, (s, _) in enumerate(entries)}
+    by_dim: list[list[int]] = [[] for _ in range(filtration.max_dim + 2)]
+    for i, (s, _) in enumerate(entries):
+        by_dim[s.dim].append(i)
     p = field.p
 
-    columns: list[dict[int, int]] = []
-    combinations: list[dict[int, int]] = []
     pairs: list[tuple[int, int]] = []
-    creators: list[int] = []
-    low_owner: dict[int, int] = {}
+    essentials: list[int] = []
+    cleared: set[int] = set()
+    for d in range(filtration.max_dim + 1):
+        coboundary: dict[int, dict[int, int]] = {}
+        for j in by_dim[d + 1]:
+            for i, sign in _boundary(entries[j][0].vertices, index, p).items():
+                if i not in cleared:
+                    coboundary.setdefault(i, {})[j] = sign
+        owners: dict[int, Reduced] = {}
+        deaths: set[int] = set()
+        for i in reversed(by_dim[d]):
+            if i in cleared:
+                continue
+            col = coboundary.get(i)
+            death = _reduce_column(col, min, owners, field) if col else None
+            if death is None:
+                essentials.append(i)
+            else:
+                owners[death] = (col, None)
+                deaths.add(death)
+                pairs.append((i, death))
+        cleared = deaths
 
-    for j, (s, _) in enumerate(entries):
-        col: dict[int, int] = {}
-        for face_pos, face in enumerate(s.faces()):
-            col[index[face]] = 1 if face_pos % 2 == 0 else p - 1
-        combo = {j: 1}
-        while col:
-            low = max(col)
-            owner = low_owner.get(low)
-            if owner is None:
-                break
-            factor = col[low] * field.inv(columns[owner][low]) % p
-            _sub_scaled(col, columns[owner], factor, p)
-            _sub_scaled(combo, combinations[owner], factor, p)
-        columns.append(col)
-        combinations.append(combo)
-        if col:
-            low = max(col)
-            low_owner[low] = j
-            pairs.append((low, j))
-        else:
-            creators.append(j)
-
-    killed = {i for i, _ in pairs}
-    essentials = [i for i in creators if i not in killed]
-    return ReducedFiltration(filtration, field, columns, combinations, pairs, essentials)
+    pairs.sort(key=lambda pair: pair[1])
+    essentials.sort()
+    return ReducedFiltration(filtration, field, pairs, essentials)

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from wordhom import DissimilarityGraph, Simplex, face_closure
+from wordhom import DissimilarityGraph, Simplex, build_vr_filtration, face_closure
 
 
-@pytest.fixture
-def shell_arm():
+def shell_arm_complex():
     """Five-vertex complex: a hollow tetrahedral shell on 0..3 plus an
     unfilled triangular arm through vertex 4."""
     return face_closure(
@@ -19,6 +18,17 @@ def shell_arm():
             Simplex((2, 4)),
         ]
     )
+
+
+@pytest.fixture
+def shell_arm():
+    return shell_arm_complex()
+
+
+def circle_filtration(d=0.5):
+    """The 4-cycle 0-1-2-3, every edge born at d."""
+    g = DissimilarityGraph(4, {(0, 1): d, (1, 2): d, (2, 3): d, (0, 3): d})
+    return build_vr_filtration(g, max_dim=2, max_eps=1.0)
 
 
 @pytest.fixture

@@ -169,6 +169,12 @@ def test_filtration_rejects_unsorted():
         Filtration([(Simplex((0, 1)), 0.5), (Simplex((0,)), 0.0)], 1, 1.0)
 
 
+def test_filtration_rejects_repeated_simplex():
+    entries = [(Simplex((0,)), 0.0), (Simplex((1,)), 0.0), (Simplex((0, 1)), 0.1), (Simplex((0, 1)), 0.5)]
+    with pytest.raises(ValueError, match=r"Simplex\(\[0, 1\]\) appears more than once"):
+        Filtration(entries, 1, 1.0)
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         DissimilarityGraph(2, {(0, 1): 1.5})

@@ -99,6 +99,12 @@ def test_edge_list_range_errors():
         edges("A\tB\t0.5\nC\tD\t-0.1\n")
 
 
+def test_edge_list_non_finite_strength_rejected():
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(DataFormatError, match="line 2: strength must be finite"):
+            edges(f"A\tB\t0.5\nC\tD\t{bad}\n")
+
+
 def test_edge_list_zero_strength_dropped():
     corpus = edges("A\tB\t0\nC\tD\t0.5\n")
     assert corpus.n_associations == 1

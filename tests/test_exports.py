@@ -1,7 +1,10 @@
 import io
 import math
 
+import pytest
+
 from wordhom import (
+    DataFormatError,
     DissimilarityGraph,
     PrimeField,
     build_vr_filtration,
@@ -86,3 +89,15 @@ def test_filtration_tsv_roundtrip():
     filt.to_tsv(buf)
     back = read_filtration_tsv(io.StringIO(buf.getvalue()))
     assert back.entries == filt.entries
+
+
+def test_filtration_tsv_rejects_repeated_simplex():
+    text = "0.0\t0\n0.0\t1\n0.1\t0,1\n# comment\n0.5\t0,1\n"
+    with pytest.raises(DataFormatError, match="line 5: simplex 0,1 already listed on line 3"):
+        read_filtration_tsv(io.StringIO(text))
+
+
+def test_filtration_tsv_rejects_non_finite_birth():
+    for bad in ("nan", "inf"):
+        with pytest.raises(DataFormatError, match="line 2: birth must be finite"):
+            read_filtration_tsv(io.StringIO(f"0.0\t0\n{bad}\t1\n"))

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordhom import (
     Barcode,
@@ -14,19 +15,15 @@ from wordhom import (
     betti_numbers,
     boundary_chain,
     build_vr_filtration,
+    face_closure,
     reduce_filtration,
     threshold_clusters,
 )
-from conftest import random_dissimilarity_graph
+from conftest import circle_filtration, random_dissimilarity_graph
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
-
-
-def circle_filtration(d=0.5):
-    g = DissimilarityGraph(4, {(0, 1): d, (1, 2): d, (2, 3): d, (0, 3): d})
-    return build_vr_filtration(g, max_dim=2, max_eps=1.0)
 
 
 def test_single_vertex():
@@ -111,6 +108,8 @@ def test_representative_rejects_foreign_interval():
         red.representative(Interval(0, 0.0, 0.1, birth_index=2, death_index=3))
     with pytest.raises(ValueError, match="belong"):
         red.representative(Interval(1, 0.5, math.inf))
+    with pytest.raises(ValueError, match="belong"):
+        red.representative(Interval(1, 0.0, math.inf, birth_index=0))
 
 
 def test_barcode_matches_rank_oracle_everywhere():
@@ -123,6 +122,40 @@ def test_barcode_matches_rank_oracle_everywhere():
             for eps in filt.event_values():
                 for k in (0, 1, 2):
                     assert bc.alive_count(k, eps) == betti_at(filt, eps, k, field)
+
+
+@st.composite
+def small_filtrations(draw):
+    """Face-closed complexes on at most 6 vertices, not necessarily
+    clique complexes, with births from a coarse grid so that ties
+    between simplices and dimensions are common."""
+    tops = draw(
+        st.lists(
+            st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    grid = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))
+    birth: dict[Simplex, float] = {}
+    for s in sorted(face_closure(Simplex(sorted(t)) for t in tops), key=Simplex.sort_key):
+        birth[s] = max([draw(grid)] + [birth[f] for f in s.faces()])
+    return Filtration.from_complex(birth, birth=birth)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_filtrations())
+def test_barcode_and_cycles_match_dense_oracle(filt):
+    for field in (F2, F3, F5):
+        red = reduce_filtration(filt, field)
+        bc = red.barcode()
+        for eps in filt.event_values():
+            for k in range(filt.max_dim + 1):
+                assert bc.alive_count(k, eps) == betti_at(filt, eps, k, field)
+        for iv in bc.all_intervals():
+            rep = red.representative(iv)
+            assert not rep.is_zero
+            assert boundary_chain(rep, field).is_zero
 
 
 def test_dim0_alive_matches_component_count():
@@ -220,8 +253,11 @@ def test_field_independence_on_fixtures(shell_arm, octahedron, torus7):
 def test_reduce_rejects_broken_filtration():
     entries = [(Simplex((0, 1)), 0.0)]
     filt = Filtration(entries, 1, 1.0)
-    with pytest.raises(ValueError, match="invariant"):
+    with pytest.raises(ValueError, match="invariant.*without its face Simplex"):
         reduce_filtration(filt, F2)
+    late_face = [(Simplex((0,)), 0.0), (Simplex((0, 1)), 0.2), (Simplex((1,)), 0.5)]
+    with pytest.raises(ValueError, match=r"face Simplex\(\[1\]\) born at 0.5 after"):
+        reduce_filtration(Filtration(late_face, 1, 1.0), F2)
 
 
 def test_barcode_rejects_negative_length():
