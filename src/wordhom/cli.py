@@ -17,6 +17,7 @@ from . import __version__
 from .clustering import (
     SWEEP_METHODS,
     cluster_by_method,
+    markov_clusters,
     modularity,
     sweep,
 )
@@ -182,7 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated parameter values; defaults to the edge-dissimilarity events",
     )
-    p.add_argument("--jobs", type=int, default=1, help="concurrent grid points")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="mcl: worker processes for grid points (threshold and persistence "
+        "sweeps run in one process, in one pass)",
+    )
     p.add_argument(
         "--vertex-birth",
         choices=("zero", "first-edge"),
@@ -261,13 +268,23 @@ def cmd_cluster(args) -> int:
     corpus = _load_corpus(args)
     graph = corpus.to_weighted_graph()
     method_params = _method_params(args)
-    param = {"threshold": args.eps, "persistence": args.tau, "mcl": args.inflation}[args.method]
-    clustering = cluster_by_method(graph, args.method, param, **method_params)
+    if args.method == "mcl":
+        result = markov_clusters(graph, args.inflation, **method_params)
+        clustering = result.clustering
+        if not result.converged:
+            _warn(f"mcl did not converge within --max-iter {args.max_iter} iterations")
+    else:
+        param = args.eps if args.method == "threshold" else args.tau
+        clustering = cluster_by_method(graph, args.method, param, **method_params)
     q = modularity(graph, clustering)
     with _open_out(args.out) as out:
         write_clustering_tsv(out, corpus, clustering, config=_config(args))
     print(f"Q\t{q!r}")
     return 0
+
+
+def _warn(message: str) -> None:
+    print(f"wordhom: warning: {message}", file=sys.stderr)
 
 
 def _method_params(args) -> dict:
@@ -302,6 +319,12 @@ def cmd_sweep(args) -> int:
     result = sweep(graph, args.method, grid, jobs=args.jobs, **_method_params(args))
     with _open_out(args.out) as out:
         write_sweep_tsv(out, result, config=_config(args))
+    if result.unconverged:
+        _warn(
+            f"mcl did not converge within --max-iter {args.max_iter} iterations at "
+            f"{len(result.unconverged)} of {len(grid)} grid points: "
+            + ",".join(map(repr, result.unconverged))
+        )
     return 0
 
 

@@ -1,13 +1,23 @@
 """Graph clustering by similarity threshold, merge persistence, or
-Markov flow, scored with weighted modularity."""
+Markov flow, scored with weighted modularity.
+
+Threshold and persistence clustering share one elder-rule merge pass
+over the edges sorted by dissimilarity (``_merge``). Their sweeps sort
+the edges, derive the vertex births and set up the modularity scorer
+once, then walk the grid in ascending order.
+"""
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class WeightedGraph:
@@ -48,11 +58,11 @@ class WeightedGraph:
         return [(i, j, w) for (i, j), w in sorted(self._edges.items())]
 
     def degrees(self) -> np.ndarray:
-        k = np.zeros(self.n, dtype=np.float64)
+        k = [0.0] * self.n
         for (i, j), w in self._edges.items():
             k[i] += w
             k[j] += w
-        return k
+        return np.array(k, dtype=np.float64)
 
     def total_weight(self) -> float:
         return float(sum(self._edges.values()))
@@ -162,15 +172,71 @@ class Clustering:
         return f"Clustering({len(self.labels)} vertices, {self.n_clusters} clusters)"
 
 
+def _sorted_edges(graph: WeightedGraph) -> list[tuple[float, int, int]]:
+    """Edges as (1 - w, i, j), in increasing dissimilarity."""
+    return sorted((1.0 - w, i, j) for (i, j), w in graph._edges.items())
+
+
+def _vertex_births(edges: list[tuple[float, int, int]], n: int, mode: str) -> list[float]:
+    """Each vertex's birth: 0, or its smallest incident dissimilarity
+    (isolated vertices are born at 0)."""
+    if mode not in ("zero", "first-edge"):
+        raise ValueError(f"unknown vertex birth mode {mode!r}")
+    births = [0.0] * n
+    if mode == "first-edge":
+        first: dict[int, float] = {}
+        for d, i, j in edges:
+            first.setdefault(i, d)
+            first.setdefault(j, d)
+        for v, d in first.items():
+            births[v] = d
+    return births
+
+
+def _merge(edges: Sequence[tuple[float, int, int]], uf: UnionFind, birth: list[float], tau: float) -> float:
+    """Elder-rule merge pass, the one union-find walk of this module.
+
+    ``birth`` holds the birth of each root and is updated in place.
+    When an edge joins two components, the younger one (the larger
+    birth, ties to the larger root id) is merged in only if its
+    lifetime so far, edge dissimilarity minus its birth, is at most
+    ``tau``. Returns the smallest lifetime rejected, or inf.
+    """
+    rejected = math.inf
+    for d, i, j in edges:
+        ra, rb = uf.find(i), uf.find(j)
+        if ra == rb:
+            continue
+        if (birth[ra], ra) < (birth[rb], rb):
+            elder, younger = ra, rb
+        else:
+            elder, younger = rb, ra
+        lifetime = d - birth[younger]
+        if lifetime <= tau:
+            uf.union(elder, younger)
+            birth[uf.find(elder)] = birth[elder]
+        elif lifetime < rejected:
+            rejected = lifetime
+    return rejected
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("eps must lie in [0, 1]")
+
+
+def _check_tau(tau: float) -> None:
+    if not tau >= 0:  # also rejects nan; inf is allowed
+        raise ValueError("tau must be >= 0")
+
+
 def threshold_clusters(graph: WeightedGraph, eps: float) -> Clustering:
     """Connected components of the subgraph whose edges have
     dissimilarity 1 - w at most eps."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+    _check_eps(eps)
+    edges = _sorted_edges(graph)
     uf = UnionFind(graph.n)
-    for i, j, w in graph.edges():
-        if 1.0 - w <= eps:
-            uf.union(i, j)
+    _merge(edges[: bisect_right(edges, (eps, math.inf))], uf, [0.0] * graph.n, eps)
     return Clustering(uf.labels())
 
 
@@ -191,35 +257,11 @@ def persistence_clusters(
     dissimilar while component births only decrease, so the lifetime
     test can never pass afterwards.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if vertex_birth not in ("zero", "first-edge"):
-        raise ValueError(f"unknown vertex birth mode {vertex_birth!r}")
-
-    edges = sorted((1.0 - w, i, j) for i, j, w in graph.edges())
-    births = [0.0] * graph.n
-    if vertex_birth == "first-edge":
-        first: dict[int, float] = {}
-        for d, i, j in edges:
-            first.setdefault(i, d)
-            first.setdefault(j, d)
-        for v, d in first.items():
-            births[v] = d
-
+    _check_tau(tau)
+    edges = _sorted_edges(graph)
+    births = _vertex_births(edges, graph.n, vertex_birth)
     uf = UnionFind(graph.n)
-    root_birth = dict(enumerate(births))
-    for d, i, j in edges:
-        ra, rb = uf.find(i), uf.find(j)
-        if ra == rb:
-            continue
-        # younger component: larger birth, ties to the later root id
-        if (root_birth[ra], ra) < (root_birth[rb], rb):
-            elder, younger = ra, rb
-        else:
-            elder, younger = rb, ra
-        if d - root_birth[younger] <= tau:
-            uf.union(elder, younger)
-            root_birth[uf.find(elder)] = root_birth[elder]
+    _merge(edges, uf, births, tau)
     return Clustering(uf.labels())
 
 
@@ -231,6 +273,8 @@ class MarkovResult:
 
 
 def _normalize_columns(m: sparse.csc_matrix) -> sparse.csc_matrix:
+    from scipy import sparse
+
     sums = np.asarray(m.sum(axis=0)).ravel()
     empty = np.nonzero(sums == 0)[0]
     if empty.size:
@@ -264,6 +308,8 @@ def markov_clusters(
     stops when the largest entry change falls below ``tol``; hitting
     ``max_iter`` first is reported via ``converged=False``.
     """
+    from scipy import sparse
+
     if inflation <= 1:
         raise ValueError("inflation must be > 1")
     if expansion < 2:
@@ -341,6 +387,42 @@ def _markov_labels(m: sparse.csr_matrix, n: int) -> list[int]:
     return labels
 
 
+class _Scorer:
+    """Weighted modularity of partitions of one graph.
+
+    Holds the pair-sorted edges, the float degrees and M, and sums them
+    in the order the loop form would: intra-cluster weights in edge
+    order, degree sums in vertex order, cluster terms in label order.
+    So every score is bit-identical however many partitions it scores.
+    """
+
+    __slots__ = ("i", "j", "w", "degrees", "m_total")
+
+    def __init__(self, graph: WeightedGraph):
+        if graph.n_edges == 0:
+            raise ValueError("modularity is undefined for a graph with no edges")
+        edges = graph.edges()
+        self.i = np.array([e[0] for e in edges], dtype=np.intp)
+        self.j = np.array([e[1] for e in edges], dtype=np.intp)
+        self.w = np.array([e[2] for e in edges], dtype=np.float64)
+        self.degrees = graph.degrees()
+        self.m_total = 2.0 * graph.total_weight()
+
+    def __call__(self, clustering: Clustering) -> float:
+        # bincount adds its weights one at a time in input order
+        labels = np.array(clustering.labels, dtype=np.intp)
+        li, lj = labels[self.i], labels[self.j]
+        same = li == lj
+        k = clustering.n_clusters
+        intra = np.bincount(li[same], weights=self.w[same], minlength=k).tolist()
+        degree_sum = np.bincount(labels, weights=self.degrees, minlength=k).tolist()
+        m_total = self.m_total
+        q = 0.0
+        for c in range(k):
+            q += 2.0 * intra[c] - degree_sum[c] ** 2 / m_total
+        return q / m_total
+
+
 def modularity(graph: WeightedGraph, clustering: Clustering) -> float:
     """Weighted modularity of a partition.
 
@@ -353,21 +435,7 @@ def modularity(graph: WeightedGraph, clustering: Clustering) -> float:
         raise ValueError(
             f"clustering covers {len(clustering)} vertices, graph has {graph.n}"
         )
-    if graph.n_edges == 0:
-        raise ValueError("modularity is undefined for a graph with no edges")
-    m_total = 2.0 * graph.total_weight()
-    labels = clustering.labels
-    intra = [0.0] * clustering.n_clusters
-    for i, j, w in graph.edges():
-        if labels[i] == labels[j]:
-            intra[labels[i]] += w
-    degree_sum = [0.0] * clustering.n_clusters
-    for v, k in enumerate(graph.degrees()):
-        degree_sum[labels[v]] += float(k)
-    q = 0.0
-    for c in range(clustering.n_clusters):
-        q += 2.0 * intra[c] - degree_sum[c] ** 2 / m_total
-    return q / m_total
+    return _Scorer(graph)(clustering)
 
 
 @dataclass(frozen=True)
@@ -379,8 +447,12 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Rows in grid order; ``unconverged`` lists the MCL grid points
+    whose flow hit ``max_iter`` before converging."""
+
     method: str
     rows: tuple[SweepRow, ...]
+    unconverged: tuple[float, ...] = ()
 
     @property
     def best(self) -> SweepRow:
@@ -404,10 +476,73 @@ def cluster_by_method(graph: WeightedGraph, method: str, param: float, **params)
     raise ValueError(f"unknown method {method!r}; expected one of {SWEEP_METHODS}")
 
 
-def _sweep_point(args) -> SweepRow:
-    graph, method, param, params = args
-    clustering = cluster_by_method(graph, method, param, **params)
-    return SweepRow(param, modularity(graph, clustering), clustering.n_clusters)
+def _mcl_point(args) -> tuple[SweepRow, bool]:
+    graph, inflation, params = args
+    result = markov_clusters(graph, inflation, **params)
+    clustering = result.clustering
+    return SweepRow(inflation, modularity(graph, clustering), clustering.n_clusters), result.converged
+
+
+def _threshold_rows(graph: WeightedGraph, grid: list[float]) -> list[SweepRow]:
+    """One ascending pass: each grid point adds the edges up to its eps
+    to a single union-find, and the partition is relabelled and scored
+    only where a union happened since the previous point."""
+    for eps in grid:
+        _check_eps(eps)
+    order = sorted(range(len(grid)), key=grid.__getitem__)
+    score = _Scorer(graph)
+    edges = _sorted_edges(graph)
+    uf = UnionFind(graph.n)
+    zero = [0.0] * graph.n
+    rows = [None] * len(grid)
+    done, seen_components, q, n_clusters = 0, -1, 0.0, 0
+    for idx in order:
+        eps = grid[idx]
+        stop = bisect_right(edges, (eps, math.inf), done)
+        _merge(edges[done:stop], uf, zero, eps)
+        done = stop
+        if uf.n_components != seen_components:
+            seen_components = uf.n_components
+            clustering = Clustering(uf.labels())
+            q, n_clusters = score(clustering), clustering.n_clusters
+        rows[idx] = SweepRow(eps, q, n_clusters)
+    return rows
+
+
+def _persistence_rows(
+    graph: WeightedGraph,
+    grid: list[float],
+    vertex_birth: str = "first-edge",
+) -> list[SweepRow]:
+    """One merge pass per decision interval of an ascending grid.
+
+    A pass at tau accepts every lifetime <= tau and records
+    ``rejected``, the smallest lifetime it rejected. At a later point
+    tau' with tau <= tau' < rejected, every lifetime the pass accepted
+    is still <= tau' and every one it rejected is still > tau'. Each
+    decision depends only on the union-find state the earlier
+    decisions left, so by induction along the edge order a pass at
+    tau' makes the same decisions, and its partition and Q are the
+    pass at tau's. A new pass starts only at the first point with
+    tau' >= rejected.
+    """
+    for tau in grid:
+        _check_tau(tau)
+    order = sorted(range(len(grid)), key=grid.__getitem__)
+    score = _Scorer(graph)
+    edges = _sorted_edges(graph)
+    births = _vertex_births(edges, graph.n, vertex_birth)
+    rows = [None] * len(grid)
+    rejected, q, n_clusters = -math.inf, 0.0, 0
+    for idx in order:
+        tau = grid[idx]
+        if not tau < rejected:
+            uf = UnionFind(graph.n)
+            rejected = _merge(edges, uf, list(births), tau)
+            clustering = Clustering(uf.labels())
+            q, n_clusters = score(clustering), clustering.n_clusters
+        rows[idx] = SweepRow(tau, q, n_clusters)
+    return rows
 
 
 def sweep(
@@ -419,18 +554,31 @@ def sweep(
 ) -> SweepResult:
     """Run one clustering method over a parameter grid and score each
     point; grid order is preserved and ties for the best row go to the
-    earliest grid point."""
+    earliest grid point.
+
+    Each row equals ``SweepRow(p, modularity(graph, c), c.n_clusters)``
+    with ``c = cluster_by_method(graph, method, p, **params)``. Threshold
+    and persistence sweeps visit the grid in ascending order in one
+    process and share one edge sort, vertex births and modularity
+    scorer (see ``_threshold_rows`` and ``_persistence_rows``). Only MCL
+    points are fanned out over ``jobs`` worker processes.
+    """
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("sweep needs a non-empty parameter grid")
     if method not in SWEEP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {SWEEP_METHODS}")
-    tasks = [(graph, method, param, params) for param in grid]
+    if method == "threshold":
+        return SweepResult(method, tuple(_threshold_rows(graph, grid)))
+    if method == "persistence":
+        return SweepResult(method, tuple(_persistence_rows(graph, grid, **params)))
+    tasks = [(graph, param, params) for param in grid]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
+            points = list(pool.map(_mcl_point, tasks))
     else:
-        rows = [_sweep_point(t) for t in tasks]
-    return SweepResult(method, tuple(rows))
+        points = [_mcl_point(t) for t in tasks]
+    unconverged = tuple(row.param for row, converged in points if not converged)
+    return SweepResult(method, tuple(row for row, _ in points), unconverged)

@@ -156,7 +156,9 @@ def test_cluster_threshold_prints_q(edges_tsv, tmp_path, capsys):
     assert labels["FOX"] == labels["GNU"] != labels["CAT"]
 
 
-def test_cluster_mcl_two_cliques(tmp_path, capsys):
+@pytest.fixture
+def cliques_tsv(tmp_path):
+    """Two 5-cliques of unit strength joined by one weak bridge."""
     rows = []
     for base in ("A", "B"):
         for i in range(5):
@@ -165,12 +167,16 @@ def test_cluster_mcl_two_cliques(tmp_path, capsys):
     rows.append("A4\tB0\t0.05")
     path = tmp_path / "cliques.tsv"
     path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_cluster_mcl_two_cliques(cliques_tsv, tmp_path, capsys):
     out = tmp_path / "mcl.tsv"
-    code, stdout, _ = run(
+    code, stdout, err = run(
         [
             "cluster",
             "--in",
-            str(path),
+            cliques_tsv,
             "--method",
             "mcl",
             "--inflation",
@@ -190,6 +196,33 @@ def test_cluster_mcl_two_cliques(tmp_path, capsys):
     assert len(set(labels.values())) == 2
     assert len({labels[f"A{i}"] for i in range(5)}) == 1
     assert len({labels[f"B{i}"] for i in range(5)}) == 1
+    assert "warning" not in err
+
+
+def test_mcl_non_convergence_warns(cliques_tsv, tmp_path, capsys):
+    out = tmp_path / "mcl.tsv"
+    argv = ["cluster", "--in", cliques_tsv, "--method", "mcl", "--out", str(out)]
+    code, stdout, err = run(argv + ["--inflation", "2", "--max-iter", "1"], capsys)
+    assert code == 0
+    assert stdout.startswith("Q\t")
+    assert err.startswith("wordhom: warning: mcl did not converge within --max-iter 1")
+    assert len([l for l in out.read_text().splitlines() if not l.startswith("#")]) == 10
+
+    argv = ["sweep", "--in", cliques_tsv, "--method", "mcl", "--out", str(out)]
+    code, _, err = run(argv + ["--grid", "2,3", "--max-iter", "1"], capsys)
+    assert code == 0
+    assert "warning: mcl did not converge within --max-iter 1 iterations at 2 of 2 grid points" in err
+    assert len([l for l in out.read_text().splitlines() if not l.startswith("#")]) == 2
+    code, _, err = run(argv + ["--grid", "2,3"], capsys)
+    assert code == 0 and err == ""
+
+
+def test_sweep_rejects_nan_tau(edges_tsv, capsys):
+    argv = ["sweep", "--in", edges_tsv, "--method", "persistence", "--out", "-"]
+    code, stdout, err = run(argv + ["--grid", "nan,0.1"], capsys)
+    assert code == 2
+    assert "tau must be >= 0" in err
+    assert stdout == ""
 
 
 def test_sweep_default_grid_and_argmax(edges_tsv, tmp_path, capsys):

@@ -1,9 +1,16 @@
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import wordhom
 from wordhom import (
     Clustering,
+    SweepRow,
     WeightedGraph,
     markov_clusters,
     modularity,
@@ -11,6 +18,7 @@ from wordhom import (
     sweep,
     threshold_clusters,
 )
+from wordhom.clustering import cluster_by_method
 
 
 def random_weighted_graph(rng, n_min=5, n_max=14, p_edge=0.5):
@@ -105,8 +113,12 @@ def test_persistence_zero_birth_mode_degenerates_to_threshold():
 
 
 def test_persistence_rejects_negative_tau():
-    with pytest.raises(ValueError):
-        persistence_clusters(two_cliques(), -0.1)
+    for tau in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            persistence_clusters(two_cliques(), tau)
+        with pytest.raises(ValueError):
+            sweep(two_cliques(), "persistence", [0.1, tau])
+    assert persistence_clusters(two_cliques(), math.inf).n_clusters == 1
 
 
 def test_mcl_two_cliques():
@@ -250,3 +262,80 @@ def test_sweep_parallel_matches_sequential():
     seq = sweep(g, "threshold", grid)
     par = sweep(g, "threshold", grid, jobs=2)
     assert seq.rows == par.rows
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Small graphs whose weights often tie, so that equal dissimilarities
+    and equal vertex births are common."""
+    n = draw(st.integers(2, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    weight = st.sampled_from((0.25, 0.5, 0.75, 1.0)) | st.floats(0.01, 1.0)
+    return WeightedGraph(n, {e: draw(weight) for e in chosen})
+
+
+def grids(graph, extra=()):
+    """Unsorted grids with duplicates, mixing the graph's own events
+    with the ends of the range and arbitrary values."""
+    values = list(graph.dissimilarity_events()) + [0.0, 1.0, *extra]
+    return st.lists(st.sampled_from(values) | st.floats(0.0, 1.0), min_size=1, max_size=12)
+
+
+def per_point_rows(graph, method, grid, **params):
+    rows = []
+    for p in grid:
+        c = cluster_by_method(graph, method, p, **params)
+        rows.append(SweepRow(p, modularity(graph, c), c.n_clusters))
+    return rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_sweep_rows_equal_per_point_route(data):
+    g = data.draw(weighted_graphs())
+    grid = data.draw(grids(g))
+    assert list(sweep(g, "threshold", grid).rows) == per_point_rows(g, "threshold", grid)
+    grid = data.draw(grids(g, extra=(math.inf, 1.5)))
+    for mode in ("zero", "first-edge"):
+        result = sweep(g, "persistence", grid, vertex_birth=mode)
+        assert list(result.rows) == per_point_rows(g, "persistence", grid, vertex_birth=mode)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(weighted_graphs(), st.lists(st.sampled_from((1.5, 2.0, 3.0)), min_size=1, max_size=4))
+def test_mcl_sweep_in_workers_equals_per_point_route(g, grid):
+    result = sweep(g, "mcl", grid, jobs=2, max_iter=3)
+    assert list(result.rows) == per_point_rows(g, "mcl", grid, max_iter=3)
+    expected = tuple(p for p in grid if not markov_clusters(g, p, max_iter=3).converged)
+    assert result.unconverged == expected
+
+
+def test_threshold_and_modularity_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(9)
+    for _ in range(20):
+        g = random_weighted_graph(rng)
+        full = nx.Graph()
+        full.add_nodes_from(range(g.n))
+        full.add_weighted_edges_from(g.edges())
+        partitions = [Clustering([rng.randint(0, 3) for _ in range(g.n)])]
+        for eps in (0.0, 0.3, 0.6, 1.0) + g.dissimilarity_events()[::3]:
+            c = threshold_clusters(g, eps)
+            kept = nx.Graph()
+            kept.add_nodes_from(range(g.n))
+            kept.add_edges_from((i, j) for i, j, w in g.edges() if 1.0 - w <= eps)
+            groups = {frozenset(c.members(k)) for k in range(c.n_clusters)}
+            assert groups == {frozenset(comp) for comp in nx.connected_components(kept)}
+            partitions.append(c)
+        for c in partitions:
+            groups = [set(c.members(k)) for k in range(c.n_clusters)]
+            expected = nx.community.modularity(full, groups, weight="weight")
+            assert abs(modularity(g, c) - expected) < 1e-12
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wordhom.__file__)))
+    code = "import sys, wordhom; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
