@@ -13,9 +13,9 @@ from .chains import (
     zero_chain,
 )
 from .complexes import (
-    DissimilarityGraph,
     Filtration,
     SimplexBudgetError,
+    WeightedGraph,
     build_vr_filtration,
     face_closure,
     validate_complex,
@@ -35,7 +35,6 @@ from .clustering import (
     SweepResult,
     SweepRow,
     UnionFind,
-    WeightedGraph,
     markov_clusters,
     modularity,
     persistence_clusters,
@@ -47,8 +46,6 @@ from .corpus import (
     DataFormatError,
     parse_edge_list,
     parse_stimulus_counts,
-    to_dissimilarity,
-    to_weighted_graph,
 )
 from .svg import render_barcode_svg
 from .synthetic import synthetic_corpus
@@ -68,7 +65,6 @@ __all__ = [
     "Clustering",
     "CosetReducer",
     "DataFormatError",
-    "DissimilarityGraph",
     "Filtration",
     "Interval",
     "MarkovClustering",
@@ -107,8 +103,6 @@ __all__ = [
     "sweep",
     "synthetic_corpus",
     "threshold_clusters",
-    "to_dissimilarity",
-    "to_weighted_graph",
     "validate_complex",
     "zero_chain",
 ]

@@ -33,7 +33,6 @@ from .exports import (
     write_sweep_tsv,
 )
 from .fields import PrimeField
-from .homology import betti_at
 from .reduction import reduce_filtration
 from .svg import render_barcode_svg
 
@@ -97,7 +96,7 @@ def _load_filtration(args):
             return read_filtration_tsv(fh)
     corpus = _load_corpus(args)
     return build_vr_filtration(
-        corpus.to_dissimilarity(),
+        corpus.to_weighted_graph(),
         max_dim=args.max_dim,
         max_eps=args.max_eps,
         vertex_birth=args.vertex_birth,
@@ -219,7 +218,7 @@ def cmd_filtrate(args) -> int:
     _check_paths(args, "out")
     corpus = _load_corpus(args)
     filtration = build_vr_filtration(
-        corpus.to_dissimilarity(),
+        corpus.to_weighted_graph(),
         max_dim=args.max_dim,
         max_eps=args.max_eps,
         vertex_birth=args.vertex_birth,
@@ -255,10 +254,10 @@ def cmd_persist(args) -> int:
 def cmd_betti(args) -> int:
     _check_paths(args)
     field = PrimeField(args.field)
-    if args.at < 0 or args.at > args.max_eps:
+    if not 0 <= args.at <= args.max_eps:
         raise DataFormatError(None, f"--at {args.at} outside the built range [0, {args.max_eps}]")
-    filtration = _load_filtration(args)
-    numbers = [betti_at(filtration, args.at, k, field) for k in range(args.max_dim + 1)]
+    barcode = reduce_filtration(_load_filtration(args), field).barcode()
+    numbers = [barcode.alive_count(k, args.at) for k in range(args.max_dim + 1)]
     print(" ".join(map(str, numbers)))
     return 0
 

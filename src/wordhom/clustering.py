@@ -1,8 +1,11 @@
 """Graph clustering by similarity threshold, merge persistence, or
 Markov flow, scored with weighted modularity.
 
-Threshold and persistence clustering share one elder-rule merge pass
-over the edges sorted by dissimilarity (``_merge``). Their sweeps sort
+Every method takes :class:`~wordhom.complexes.WeightedGraph`, the graph
+the Vietoris-Rips filtration is built from. Threshold and persistence
+clustering share one elder-rule merge pass (``_merge``) over the
+graph's dissimilarity order, with the vertex births the filtration
+uses; Markov flow and modularity read the strengths. The sweeps sort
 the edges, derive the vertex births and set up the modularity scorer
 once, then walk the grid in ascending order.
 """
@@ -12,77 +15,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .complexes import WeightedGraph
+
 if TYPE_CHECKING:
     from scipy import sparse
-
-
-class WeightedGraph:
-    """Symmetric positive edge weights in (0, 1] on unordered pairs."""
-
-    __slots__ = ("n", "_edges")
-
-    def __init__(self, n: int, edges: Mapping[tuple[int, int], float]):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        checked = {}
-        for (i, j), w in edges.items():
-            if not (0 <= i < j < n):
-                raise ValueError(f"edge ({i}, {j}) is not an ordered pair within range({n})")
-            w = float(w)
-            if not 0.0 < w <= 1.0:
-                raise ValueError(f"weight {w} of edge ({i}, {j}) outside (0, 1]")
-            checked[(i, j)] = w
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_edges", checked)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedGraph is immutable")
-
-    def __getstate__(self):
-        return (self.n, self._edges)
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "n", state[0])
-        object.__setattr__(self, "_edges", state[1])
-
-    @property
-    def n_edges(self) -> int:
-        return len(self._edges)
-
-    def edges(self) -> list[tuple[int, int, float]]:
-        """Edges as (i, j, w), sorted by vertex pair."""
-        return [(i, j, w) for (i, j), w in sorted(self._edges.items())]
-
-    def degrees(self) -> np.ndarray:
-        k = [0.0] * self.n
-        for (i, j), w in self._edges.items():
-            k[i] += w
-            k[j] += w
-        return np.array(k, dtype=np.float64)
-
-    def total_weight(self) -> float:
-        return float(sum(self._edges.values()))
-
-    def dissimilarity_events(self) -> tuple[float, ...]:
-        """Sorted distinct values of 1 - weight."""
-        return tuple(sorted({1.0 - w for w in self._edges.values()}))
-
-    def scaled(self, factor: float) -> "WeightedGraph":
-        return WeightedGraph(self.n, {e: w * factor for e, w in self._edges.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeightedGraph)
-            and other.n == self.n
-            and other._edges == self._edges
-        )
-
-    def __repr__(self) -> str:
-        return f"WeightedGraph(n={self.n}, edges={self.n_edges})"
 
 
 class UnionFind:
@@ -172,27 +112,6 @@ class Clustering:
         return f"Clustering({len(self.labels)} vertices, {self.n_clusters} clusters)"
 
 
-def _sorted_edges(graph: WeightedGraph) -> list[tuple[float, int, int]]:
-    """Edges as (1 - w, i, j), in increasing dissimilarity."""
-    return sorted((1.0 - w, i, j) for (i, j), w in graph._edges.items())
-
-
-def _vertex_births(edges: list[tuple[float, int, int]], n: int, mode: str) -> list[float]:
-    """Each vertex's birth: 0, or its smallest incident dissimilarity
-    (isolated vertices are born at 0)."""
-    if mode not in ("zero", "first-edge"):
-        raise ValueError(f"unknown vertex birth mode {mode!r}")
-    births = [0.0] * n
-    if mode == "first-edge":
-        first: dict[int, float] = {}
-        for d, i, j in edges:
-            first.setdefault(i, d)
-            first.setdefault(j, d)
-        for v, d in first.items():
-            births[v] = d
-    return births
-
-
 def _merge(edges: Sequence[tuple[float, int, int]], uf: UnionFind, birth: list[float], tau: float) -> float:
     """Elder-rule merge pass, the one union-find walk of this module.
 
@@ -234,7 +153,7 @@ def threshold_clusters(graph: WeightedGraph, eps: float) -> Clustering:
     """Connected components of the subgraph whose edges have
     dissimilarity 1 - w at most eps."""
     _check_eps(eps)
-    edges = _sorted_edges(graph)
+    edges = graph.sorted_dissimilarities()
     uf = UnionFind(graph.n)
     _merge(edges[: bisect_right(edges, (eps, math.inf))], uf, [0.0] * graph.n, eps)
     return Clustering(uf.labels())
@@ -258,8 +177,8 @@ def persistence_clusters(
     test can never pass afterwards.
     """
     _check_tau(tau)
-    edges = _sorted_edges(graph)
-    births = _vertex_births(edges, graph.n, vertex_birth)
+    edges = graph.sorted_dissimilarities()
+    births = graph.vertex_births(vertex_birth)
     uf = UnionFind(graph.n)
     _merge(edges, uf, births, tau)
     return Clustering(uf.labels())
@@ -320,7 +239,7 @@ def markov_clusters(
 
     rows, cols, data = [], [], []
     edges = graph.edges()
-    wmax = max((w for _, _, w in edges), default=1.0)
+    wmax = max((w for _, _, w in edges), default=0.0) or 1.0  # all weights 0 (every d = 1): self-loops only
     for i, j, w in edges:
         rows.extend((i, j))
         cols.extend((j, i))
@@ -399,14 +318,14 @@ class _Scorer:
     __slots__ = ("i", "j", "w", "degrees", "m_total")
 
     def __init__(self, graph: WeightedGraph):
-        if graph.n_edges == 0:
-            raise ValueError("modularity is undefined for a graph with no edges")
+        self.m_total = 2.0 * graph.total_weight()
+        if self.m_total == 0.0:
+            raise ValueError("modularity is undefined for a graph with no edges or no edge weight")
         edges = graph.edges()
         self.i = np.array([e[0] for e in edges], dtype=np.intp)
         self.j = np.array([e[1] for e in edges], dtype=np.intp)
         self.w = np.array([e[2] for e in edges], dtype=np.float64)
         self.degrees = graph.degrees()
-        self.m_total = 2.0 * graph.total_weight()
 
     def __call__(self, clustering: Clustering) -> float:
         # bincount adds its weights one at a time in input order
@@ -491,7 +410,7 @@ def _threshold_rows(graph: WeightedGraph, grid: list[float]) -> list[SweepRow]:
         _check_eps(eps)
     order = sorted(range(len(grid)), key=grid.__getitem__)
     score = _Scorer(graph)
-    edges = _sorted_edges(graph)
+    edges = graph.sorted_dissimilarities()
     uf = UnionFind(graph.n)
     zero = [0.0] * graph.n
     rows = [None] * len(grid)
@@ -530,8 +449,8 @@ def _persistence_rows(
         _check_tau(tau)
     order = sorted(range(len(grid)), key=grid.__getitem__)
     score = _Scorer(graph)
-    edges = _sorted_edges(graph)
-    births = _vertex_births(edges, graph.n, vertex_birth)
+    edges = graph.sorted_dissimilarities()
+    births = graph.vertex_births(vertex_birth)
     rows = [None] * len(grid)
     rejected, q, n_clusters = -math.inf, 0.0, 0
     for idx in order:

@@ -1,9 +1,18 @@
-"""Vietoris-Rips complexes and filtrations over weighted dissimilarity data."""
+"""The word-association graph and the Vietoris-Rips filtrations built on it.
+
+:class:`WeightedGraph` is the one graph type of the package: it holds
+each edge's strength w and its dissimilarity d = 1 - w. Filtrations,
+thresholds and merge persistence read d; modularity and Markov flow
+read w.
+"""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Iterable, Iterator, Mapping, TextIO
+
+import numpy as np
 
 from .simplices import Simplex
 
@@ -14,65 +23,134 @@ class SimplexBudgetError(RuntimeError):
     """Raised when a complex would exceed the configured simplex budget."""
 
 
-class DissimilarityGraph:
-    """Symmetric dissimilarities in [0, 1] on unordered vertex pairs.
+class WeightedGraph:
+    """Symmetric association strengths w on unordered vertex pairs, with
+    the dissimilarity view d = 1 - w.
 
-    Absent pairs never enter any complex (conceptually infinite
-    dissimilarity); they are not densified to d = 1.
+    The constructor takes strengths in (0, 1] and derives each d as
+    ``1.0 - w``; :meth:`from_dissimilarities` takes dissimilarities in
+    [0, 1] and keeps them exactly. Absent pairs never enter any complex
+    or cluster (conceptually infinite dissimilarity); they are not
+    densified to d = 1. Edges keep their insertion order, which sets
+    the summation order of :meth:`degrees` and :meth:`total_weight`.
     """
 
-    __slots__ = ("n", "_edges")
+    __slots__ = ("n", "_w", "_d")
 
-    def __init__(self, n: int, edges: Mapping[tuple[int, int], float]):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        checked = {}
-        for (i, j), d in edges.items():
-            if not (0 <= i < j < n):
-                raise ValueError(f"edge ({i}, {j}) is not an ordered pair within range({n})")
-            d = float(d)
-            if not 0.0 <= d <= 1.0:
-                raise ValueError(f"dissimilarity {d} of edge ({i}, {j}) outside [0, 1]")
-            checked[(i, j)] = d
+    def __init__(self, n: int, weights: Mapping[tuple[int, int], float]):
+        w = _checked_edges(n, weights, "weight", zero_ok=False)
+        self._set(n, w, {e: 1.0 - x for e, x in w.items()})
+
+    @classmethod
+    def from_dissimilarities(cls, n: int, dissimilarities: Mapping[tuple[int, int], float]) -> "WeightedGraph":
+        d = _checked_edges(n, dissimilarities, "dissimilarity", zero_ok=True)
+        graph = cls.__new__(cls)
+        graph._set(n, {e: 1.0 - x for e, x in d.items()}, d)
+        return graph
+
+    def _set(self, n: int, w: dict, d: dict) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_edges", checked)
+        object.__setattr__(self, "_w", w)
+        object.__setattr__(self, "_d", d)
 
     def __setattr__(self, name, value):
-        raise AttributeError("DissimilarityGraph is immutable")
+        raise AttributeError("WeightedGraph is immutable")
+
+    def __getstate__(self):
+        return (self.n, self._w, self._d)
+
+    def __setstate__(self, state):
+        self._set(*state)
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
-
-    def get(self, i: int, j: int) -> float | None:
-        if i > j:
-            i, j = j, i
-        return self._edges.get((i, j))
+        return len(self._w)
 
     def edges(self) -> list[tuple[int, int, float]]:
-        """Edges as (i, j, d), sorted by vertex pair."""
-        return [(i, j, d) for (i, j), d in sorted(self._edges.items())]
+        """Edges as (i, j, w), sorted by vertex pair."""
+        return [(i, j, w) for (i, j), w in sorted(self._w.items())]
 
-    def event_values(self) -> tuple[float, ...]:
+    def dissimilarity(self, i: int, j: int) -> float | None:
+        if i > j:
+            i, j = j, i
+        return self._d.get((i, j))
+
+    def sorted_dissimilarities(self) -> list[tuple[float, int, int]]:
+        """Edges as (d, i, j) in increasing dissimilarity: the merge order."""
+        return sorted((d, i, j) for (i, j), d in self._d.items())
+
+    def dissimilarity_events(self) -> tuple[float, ...]:
         """Sorted distinct edge dissimilarities."""
-        return tuple(sorted(set(self._edges.values())))
+        return tuple(sorted(set(self._d.values())))
 
     def adjacency(self) -> dict[int, dict[int, float]]:
+        """Dissimilarity of each neighbour, per vertex."""
         adj: dict[int, dict[int, float]] = {v: {} for v in range(self.n)}
-        for (i, j), d in self._edges.items():
+        for (i, j), d in self._d.items():
             adj[i][j] = d
             adj[j][i] = d
         return adj
 
+    def vertex_births(self, mode: str) -> list[float]:
+        """Birth value per vertex id under the given mode.
+
+        ``zero`` births every vertex at 0 (the standard construction);
+        ``first-edge`` births a vertex at its minimum incident
+        dissimilarity, which gives component merges a nonzero lifetime.
+        Vertices with no incident edge are born at 0 in both modes.
+        """
+        if mode not in VERTEX_BIRTH_MODES:
+            raise ValueError(f"unknown vertex birth mode {mode!r}; expected one of {VERTEX_BIRTH_MODES}")
+        if mode == "zero":
+            return [0.0] * self.n
+        first = [math.inf] * self.n
+        for (i, j), d in self._d.items():
+            if d < first[i]:
+                first[i] = d
+            if d < first[j]:
+                first[j] = d
+        return [0.0 if b == math.inf else b for b in first]
+
+    def degrees(self) -> np.ndarray:
+        k = [0.0] * self.n
+        for (i, j), w in self._w.items():
+            k[i] += w
+            k[j] += w
+        return np.array(k, dtype=np.float64)
+
+    def total_weight(self) -> float:
+        return float(sum(self._w.values()))
+
+    def scaled(self, factor: float) -> "WeightedGraph":
+        return WeightedGraph(self.n, {e: w * factor for e, w in self._w.items()})
+
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, DissimilarityGraph)
+            isinstance(other, WeightedGraph)
             and other.n == self.n
-            and other._edges == self._edges
+            and other._w == self._w
+            and other._d == self._d
         )
 
     def __repr__(self) -> str:
-        return f"DissimilarityGraph(n={self.n}, edges={self.n_edges})"
+        return f"WeightedGraph(n={self.n}, edges={self.n_edges})"
+
+
+def _checked_edges(n: int, values: Mapping[tuple[int, int], float], name: str, zero_ok: bool) -> dict:
+    """Float copy of per-edge values in (0, 1], or [0, 1] if ``zero_ok``,
+    keyed by ordered pairs within range(n)."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    checked = {}
+    for (i, j), v in values.items():
+        if not (0 <= i < j < n):
+            raise ValueError(f"edge ({i}, {j}) is not an ordered pair within range({n})")
+        v = float(v)
+        if not 0.0 <= v <= 1.0 or (v == 0.0 and not zero_ok):
+            interval = "[0, 1]" if zero_ok else "(0, 1]"
+            raise ValueError(f"{name} {v} of edge ({i}, {j}) outside {interval}")
+        checked[(i, j)] = v
+    return checked
 
 
 class Filtration:
@@ -165,36 +243,14 @@ class Filtration:
         return f"Filtration({len(self)} simplices, max_dim={self.max_dim}, max_eps={self.max_eps})"
 
 
-def vertex_births(graph: DissimilarityGraph, mode: str) -> list[float]:
-    """Birth value per vertex id under the given mode.
-
-    ``zero`` births every vertex at 0 (the standard construction);
-    ``first-edge`` births a vertex at its minimum incident
-    dissimilarity, which gives component merges a nonzero lifetime.
-    Vertices with no incident edge are born at 0 in both modes.
-    """
-    if mode not in VERTEX_BIRTH_MODES:
-        raise ValueError(f"unknown vertex birth mode {mode!r}; expected one of {VERTEX_BIRTH_MODES}")
-    if mode == "zero":
-        return [0.0] * graph.n
-    births = [0.0] * graph.n
-    incident: dict[int, float] = {}
-    for (i, j), d in graph._edges.items():
-        incident[i] = min(incident.get(i, d), d)
-        incident[j] = min(incident.get(j, d), d)
-    for v, d in incident.items():
-        births[v] = d
-    return births
-
-
 def build_vr_filtration(
-    graph: DissimilarityGraph,
+    graph: WeightedGraph,
     max_dim: int = 3,
     max_eps: float = 1.0,
     vertex_birth: str = "zero",
     max_simplices: int | None = None,
 ) -> Filtration:
-    """Expand a dissimilarity graph into a Vietoris-Rips filtration.
+    """Expand a graph's dissimilarities into a Vietoris-Rips filtration.
 
     A k-simplex is included for every (k+1)-clique of edges with
     dissimilarity at most max_eps; its birth is the largest pairwise
@@ -210,7 +266,7 @@ def build_vr_filtration(
     if not 0.0 <= max_eps <= 1.0:
         raise ValueError("max_eps must lie in [0, 1]")
 
-    births = vertex_births(graph, vertex_birth)
+    births = graph.vertex_births(vertex_birth)
     adj = graph.adjacency()
     neighbors = {
         v: sorted(u for u, d in adj[v].items() if u > v and d <= max_eps)

@@ -1,9 +1,14 @@
-"""Parsing word-association data into graphs.
+"""Parsing word-association data into a corpus and its graph.
 
 Two canonical TSV inputs are supported: raw stimulus/response counts
 (`stimulus<TAB>response<TAB>count<TAB>total`) and pre-aggregated edge
 lists (`word1<TAB>word2<TAB>strength`). Lines starting with ``#`` and
-blank lines are skipped; words are upper-cased and stripped.
+blank lines are skipped; words are upper-cased and stripped. Both
+parsers validate their rows and hand (word, word, strength) triples to
+:meth:`AssociationCorpus.from_pairs`, the one place word ids are
+assigned. :meth:`AssociationCorpus.to_weighted_graph` gives the
+:class:`~wordhom.complexes.WeightedGraph` that filtrations and
+clustering both take.
 """
 
 from __future__ import annotations
@@ -11,8 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, TextIO
 
-from .clustering import WeightedGraph
-from .complexes import DissimilarityGraph
+from .complexes import WeightedGraph
 
 
 class DataFormatError(ValueError):
@@ -104,13 +108,11 @@ class AssociationCorpus:
         return [(i, j, s) for (i, j), s in sorted(self._strengths.items())]
 
     def to_weighted_graph(self) -> WeightedGraph:
+        """The association graph: strengths w, dissimilarities 1 - w;
+        absent pairs stay absent."""
         return WeightedGraph(self.n_words, self._strengths)
 
-    def to_dissimilarity(self) -> DissimilarityGraph:
-        """Dissimilarity = 1 - strength; absent pairs stay absent."""
-        return DissimilarityGraph(
-            self.n_words, {e: 1.0 - s for e, s in self._strengths.items()}
-        )
+    to_dissimilarity = to_weighted_graph  # one graph carries both views
 
     def write_edge_list(self, stream: TextIO) -> None:
         for i, j, s in self.items():
@@ -149,16 +151,7 @@ def parse_stimulus_counts(stream: TextIO) -> AssociationCorpus:
     pair is the larger of its two directed proportions. Rows pairing a
     word with itself are ignored.
     """
-    words: list[str] = []
-    index: dict[str, int] = {}
-    directed: dict[tuple[int, int], float] = {}
-
-    def wid(w: str) -> int:
-        if w not in index:
-            index[w] = len(words)
-            words.append(w)
-        return index[w]
-
+    directed: dict[tuple[str, str], float] = {}
     for lineno, line in _data_lines(stream):
         parts = line.split("\t")
         if len(parts) != 4:
@@ -178,16 +171,10 @@ def parse_stimulus_counts(stream: TextIO) -> AssociationCorpus:
             raise DataFormatError(lineno, f"count {count} exceeds total {total}")
         if stimulus == response:
             continue
-        key = (wid(stimulus), wid(response))
-        if key in directed:
+        if (stimulus, response) in directed:
             raise DataFormatError(lineno, f"duplicate directed pair {stimulus} -> {response}")
-        directed[key] = count / total
-
-    strengths: dict[tuple[int, int], float] = {}
-    for (i, j), prop in directed.items():
-        key = (i, j) if i < j else (j, i)
-        strengths[key] = max(strengths.get(key, 0.0), prop)
-    return AssociationCorpus(words, strengths)
+        directed[(stimulus, response)] = count / total
+    return AssociationCorpus.from_pairs((a, b, prop) for (a, b), prop in directed.items())
 
 
 def parse_edge_list(stream: TextIO) -> AssociationCorpus:
@@ -197,16 +184,7 @@ def parse_edge_list(stream: TextIO) -> AssociationCorpus:
     zero-strength rows are dropped (indistinguishable from no
     association); strengths outside [0, 1] and self-pairs are errors.
     """
-    words: list[str] = []
-    index: dict[str, int] = {}
-    strengths: dict[tuple[int, int], float] = {}
-
-    def wid(w: str) -> int:
-        if w not in index:
-            index[w] = len(words)
-            words.append(w)
-        return index[w]
-
+    pairs: list[tuple[str, str, float]] = []
     for lineno, line in _data_lines(stream):
         parts = line.split("\t")
         if len(parts) != 3:
@@ -225,17 +203,6 @@ def parse_edge_list(stream: TextIO) -> AssociationCorpus:
             raise DataFormatError(lineno, f"strength {s} outside (0, 1]")
         if a == b:
             raise DataFormatError(lineno, f"self-association for {a!r}")
-        if s == 0.0:
-            continue
-        ia, ib = wid(a), wid(b)
-        key = (ia, ib) if ia < ib else (ib, ia)
-        strengths[key] = max(strengths.get(key, 0.0), s)
-    return AssociationCorpus(words, strengths)
-
-
-def to_dissimilarity(corpus: AssociationCorpus) -> DissimilarityGraph:
-    return corpus.to_dissimilarity()
-
-
-def to_weighted_graph(corpus: AssociationCorpus) -> WeightedGraph:
-    return corpus.to_weighted_graph()
+        if s != 0.0:
+            pairs.append((a, b, s))
+    return AssociationCorpus.from_pairs(pairs)

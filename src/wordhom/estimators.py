@@ -9,27 +9,18 @@ from __future__ import annotations
 
 from .base import ParamsMixin, check_fitted, check_in_interval, check_positive_int
 from .clustering import (
-    WeightedGraph,
     markov_clusters,
     modularity,
     persistence_clusters,
     threshold_clusters,
 )
-from .complexes import DissimilarityGraph, build_vr_filtration
+from .complexes import WeightedGraph, build_vr_filtration
 from .corpus import AssociationCorpus
 from .fields import PrimeField
 from .reduction import Barcode, reduce_filtration
 
 
-def _as_dissimilarity(x) -> DissimilarityGraph:
-    if isinstance(x, DissimilarityGraph):
-        return x
-    if isinstance(x, AssociationCorpus):
-        return x.to_dissimilarity()
-    raise TypeError(f"expected a DissimilarityGraph or AssociationCorpus, got {type(x).__name__}")
-
-
-def _as_weighted(x) -> WeightedGraph:
+def _as_graph(x) -> WeightedGraph:
     if isinstance(x, WeightedGraph):
         return x
     if isinstance(x, AssociationCorpus):
@@ -66,7 +57,7 @@ class VietorisRipsPersistence(ParamsMixin):
 
     def fit(self, X, y=None) -> "VietorisRipsPersistence":
         field = self._validate()
-        graph = _as_dissimilarity(X)
+        graph = _as_graph(X)
         self.filtration_ = build_vr_filtration(
             graph,
             max_dim=self.max_dim,
@@ -93,7 +84,7 @@ class _BaseClustering(ParamsMixin):
         raise NotImplementedError
 
     def fit(self, X, y=None):
-        graph = _as_weighted(X)
+        graph = _as_graph(X)
         self.graph_ = graph
         self.clustering_ = self._cluster(graph)
         self.labels_ = list(self.clustering_.labels)
@@ -106,7 +97,7 @@ class _BaseClustering(ParamsMixin):
     def score(self, X=None, y=None) -> float:
         """Modularity of the fitted partition (higher is better)."""
         check_fitted(self, "clustering_")
-        graph = self.graph_ if X is None else _as_weighted(X)
+        graph = self.graph_ if X is None else _as_graph(X)
         return modularity(graph, self.clustering_)
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wordhom import DissimilarityGraph, Simplex, build_vr_filtration, face_closure
+from wordhom import Simplex, WeightedGraph, build_vr_filtration, face_closure
 
 
 def shell_arm_complex():
@@ -27,7 +27,7 @@ def shell_arm():
 
 def circle_filtration(d=0.5):
     """The 4-cycle 0-1-2-3, every edge born at d."""
-    g = DissimilarityGraph(4, {(0, 1): d, (1, 2): d, (2, 3): d, (0, 3): d})
+    g = WeightedGraph.from_dissimilarities(4, {(0, 1): d, (1, 2): d, (2, 3): d, (0, 3): d})
     return build_vr_filtration(g, max_dim=2, max_eps=1.0)
 
 
@@ -59,4 +59,4 @@ def random_dissimilarity_graph(rng: random.Random, n_min=5, n_max=12, p_edge=0.4
         for j in range(i + 1, n):
             if rng.random() < p_edge:
                 edges[(i, j)] = round(rng.uniform(0.05, 0.95), 2)
-    return DissimilarityGraph(n, edges)
+    return WeightedGraph.from_dissimilarities(n, edges)

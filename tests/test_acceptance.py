@@ -78,14 +78,9 @@ def shell_arm_complex():
 
 @functools.lru_cache(maxsize=1)
 def random_graph_corpus():
-    """50 seeded random association graphs (<= 12 vertices) with the
-    derived dissimilarity filtrations and their Z/2 barcodes.
-
-    Strengths are drawn first and dissimilarities derived as 1 - w, the
-    same arithmetic the corpus conversion uses, so the clustering and
-    filtration routes see bit-identical scales."""
-    from wordhom import DissimilarityGraph
-
+    """50 seeded random association graphs (<= 12 vertices) with their
+    filtrations and Z/2 barcodes. The clustering and filtration routes
+    take the same graph, so they see the same dissimilarities."""
     rng = random.Random(90125)
     out = []
     for _ in range(50):
@@ -95,11 +90,10 @@ def random_graph_corpus():
             for j in range(i + 1, n):
                 if rng.random() < 0.45:
                     weights[(i, j)] = round(rng.uniform(0.05, 0.95), 2)
-        weighted = WeightedGraph(n, weights)
-        g = DissimilarityGraph(n, {e: 1.0 - w for e, w in weights.items()})
+        g = WeightedGraph(n, weights)
         filt = build_vr_filtration(g, max_dim=3, max_eps=1.0)
         barcode = reduce_filtration(filt, PrimeField(2)).barcode()
-        out.append((weighted, filt, barcode))
+        out.append((g, filt, barcode))
     return out
 
 
@@ -158,9 +152,9 @@ def test_criterion_04_barcode_vs_rank_oracle():
 
 @criterion(5, "dim-0 intervals match union-find component counts", budget=30.0)
 def test_criterion_05_dim0_union_find():
-    for weighted, filt, barcode in random_graph_corpus():
+    for g, filt, barcode in random_graph_corpus():
         for eps in filt.event_values():
-            assert barcode.alive_count(0, eps) == threshold_clusters(weighted, eps).n_clusters
+            assert barcode.alive_count(0, eps) == threshold_clusters(g, eps).n_clusters
 
 
 @criterion(6, "Vietoris-Rips nesting over a 10-point grid", budget=10.0)

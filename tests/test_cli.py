@@ -1,7 +1,10 @@
 import io
+import itertools
+import random
 
 import pytest
 
+from wordhom import PrimeField, betti_at, build_vr_filtration, parse_edge_list
 from wordhom.cli import main
 
 EDGES = "CAT\tDOG\t0.4\nDOG\tEEL\t0.75\nCAT\tEEL\t0.7\nFOX\tGNU\t0.9\n"
@@ -128,6 +131,49 @@ def test_betti_cat_dog(edges_tsv, capsys):
     # (0.6) and FOX-GNU (0.1)... FOX-GNU d=0.1 present: components
     # {CAT,DOG,EEL}, {FOX,GNU} -> 2; no cycle
     assert out.strip() == "2 0"
+
+
+def test_betti_matches_dense_oracle(tmp_path, capsys):
+    # the CLI reads Betti numbers off the barcode; betti_at ranks the
+    # boundary matrices of the complex at --at, top dimension included
+    rng = random.Random(14)
+    words = [f"W{i:02d}" for i in range(14)]
+    text = "".join(
+        f"{a}\t{b}\t{round(rng.uniform(0.05, 1.0), 2)}\n"
+        for a, b in itertools.combinations(words, 2)
+        if rng.random() < 0.5
+    )
+    path = tmp_path / "graph.tsv"
+    path.write_text(text)
+    graph = parse_edge_list(io.StringIO(text)).to_weighted_graph()
+    for max_dim in (1, 2, 3):
+        filt = build_vr_filtration(graph, max_dim=max_dim)
+        for p in (2, 3):
+            for at in (0.0, 0.1, 0.3, 0.5, 0.7, 1.0):
+                argv = ["betti", "--in", str(path), "--at", str(at), "--max-dim", str(max_dim), "--field", str(p)]
+                code, out, _ = run(argv, capsys)
+                assert code == 0
+                expected = [betti_at(filt, at, k, PrimeField(p)) for k in range(max_dim + 1)]
+                assert out.split() == [str(b) for b in expected], argv
+
+
+def test_betti_rejects_scale_outside_built_range(edges_tsv, capsys):
+    for at in ("-0.1", "1.5", "nan"):
+        code, out, err = run(["betti", "--in", edges_tsv, "--at", at], capsys)
+        assert code == 2
+        assert out == ""
+        assert "outside the built range" in err
+
+
+def test_betti_on_filtration_missing_faces_is_data_error(tmp_path, capsys):
+    filt = tmp_path / "broken.tsv"
+    filt.write_text("0.0\t0\n0.0\t1\n0.5\t0,1,2\n")
+    code, out, err = run(
+        ["betti", "--in", str(filt), "--format", "filtration", "--at", "0.6", "--max-dim", "2"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "without its face" in err
 
 
 def test_cluster_threshold_prints_q(edges_tsv, tmp_path, capsys):

@@ -215,6 +215,15 @@ def test_modularity_rejects_edgeless():
         modularity(g, Clustering([0, 1, 2]))
 
 
+def test_dissimilarity_one_edges_weigh_nothing():
+    g = WeightedGraph.from_dissimilarities(3, {(0, 1): 1.0, (1, 2): 1.0})
+    assert g.total_weight() == 0.0
+    assert threshold_clusters(g, 1.0).n_clusters == 1
+    assert markov_clusters(g, 2.0).clustering.n_clusters == 3
+    with pytest.raises(ValueError, match="no edge weight"):
+        modularity(g, Clustering([0, 0, 0]))
+
+
 def test_modularity_rejects_short_labels():
     g = two_cliques()
     with pytest.raises(ValueError, match="covers"):

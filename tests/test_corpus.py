@@ -76,6 +76,17 @@ def test_comments_and_blank_lines_skipped():
     assert corpus.n_associations == 1
 
 
+def test_ids_and_pair_order_follow_first_appearance():
+    # the pair order sets the summation order of degrees and total weight
+    for corpus in (
+        stim("C\tA\t1\t4\nB\tD\t1\t2\nA\tC\t3\t4\nD\tA\t1\t8\n"),
+        edges("C\tA\t0.25\nB\tD\t0.5\nA\tC\t0.75\nD\tA\t0.125\n"),
+    ):
+        assert corpus.words == ("C", "A", "B", "D")
+        assert list(corpus._strengths) == [(0, 1), (2, 3), (1, 3)]
+        assert corpus.strength("A", "C") == 0.75
+
+
 def test_edge_list_basic():
     corpus = edges("CAT\tDOG\t0.4\n")
     assert corpus.n_words == 2
@@ -122,10 +133,13 @@ def test_round_trip_through_edge_list():
 def test_to_dissimilarity_values_and_counts():
     corpus = edges("CAT\tDOG\t0.4\nDOG\tEEL\t1.0\n")
     g = corpus.to_dissimilarity()
+    assert g == corpus.to_weighted_graph()
     assert g.n == corpus.n_words
     assert g.n_edges == corpus.n_associations
-    assert g.get(corpus.word_id("CAT"), corpus.word_id("DOG")) == pytest.approx(0.6)
-    assert g.get(corpus.word_id("DOG"), corpus.word_id("EEL")) == 0.0
+    cat, dog, eel = (corpus.word_id(w) for w in ("CAT", "DOG", "EEL"))
+    assert g.dissimilarity(dog, cat) == 1.0 - 0.4  # bit for bit, not 0.6
+    assert g.dissimilarity(dog, eel) == 0.0
+    assert g.dissimilarity(cat, eel) is None
 
 
 def test_to_weighted_graph_preserves_strengths():

@@ -5,7 +5,6 @@ import pytest
 
 from wordhom import (
     DataFormatError,
-    DissimilarityGraph,
     PrimeField,
     build_vr_filtration,
     reduce_filtration,
@@ -22,7 +21,7 @@ from wordhom.exports import (
 
 
 def sample_reduction():
-    g = DissimilarityGraph(4, {(0, 1): 0.5, (1, 2): 0.5, (2, 3): 0.5, (0, 3): 0.5})
+    g = WeightedGraph.from_dissimilarities(4, {(0, 1): 0.5, (1, 2): 0.5, (2, 3): 0.5, (0, 3): 0.5})
     filt = build_vr_filtration(g, max_dim=2, max_eps=1.0)
     return reduce_filtration(filt, PrimeField(2))
 
@@ -83,7 +82,7 @@ def test_sweep_tsv_argmax_line():
 
 
 def test_filtration_tsv_roundtrip():
-    g = DissimilarityGraph(3, {(0, 1): 0.25, (1, 2): 0.5})
+    g = WeightedGraph.from_dissimilarities(3, {(0, 1): 0.25, (1, 2): 0.5})
     filt = build_vr_filtration(g, max_dim=2, max_eps=1.0)
     buf = io.StringIO()
     filt.to_tsv(buf)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from wordhom import (
     Barcode,
-    DissimilarityGraph,
     Filtration,
     Interval,
     PrimeField,
@@ -18,6 +17,7 @@ from wordhom import (
     face_closure,
     reduce_filtration,
     threshold_clusters,
+    WeightedGraph,
 )
 from conftest import circle_filtration, random_dissimilarity_graph
 
@@ -34,7 +34,7 @@ def test_single_vertex():
 
 
 def test_two_vertices_one_edge_elder_rule():
-    g = DissimilarityGraph(2, {(0, 1): 0.4})
+    g = WeightedGraph.from_dissimilarities(2, {(0, 1): 0.4})
     red = reduce_filtration(build_vr_filtration(g, 1, 1.0), F2)
     bc = red.barcode()
     finite = [iv for iv in bc.intervals(0) if not iv.is_infinite]
@@ -82,7 +82,7 @@ def test_shell_arm_representative(shell_arm):
 
 
 def test_dim0_representative_is_single_younger_vertex():
-    g = DissimilarityGraph(2, {(0, 1): 0.4})
+    g = WeightedGraph.from_dissimilarities(2, {(0, 1): 0.4})
     red = reduce_filtration(build_vr_filtration(g, 1, 1.0), F2)
     iv = [iv for iv in red.barcode().intervals(0) if not iv.is_infinite][0]
     rep = red.representative(iv)
@@ -159,11 +159,7 @@ def test_barcode_and_cycles_match_dense_oracle(filt):
 
 
 def test_dim0_alive_matches_component_count():
-    # strengths drawn first, dissimilarities derived as 1 - w: the same
-    # arithmetic the corpus conversion uses, so both routes see
-    # bit-identical scales
-    from wordhom import WeightedGraph
-
+    # one graph feeds both routes, so they see the same d = 1 - w
     rng = random.Random(19)
     for _ in range(10):
         n = rng.randint(5, 12)
@@ -173,12 +169,11 @@ def test_dim0_alive_matches_component_count():
             for j in range(i + 1, n)
             if rng.random() < 0.45
         }
-        weighted = WeightedGraph(n, weights)
-        g = DissimilarityGraph(n, {e: 1.0 - w for e, w in weights.items()})
+        g = WeightedGraph(n, weights)
         filt = build_vr_filtration(g, max_dim=1, max_eps=1.0)
         bc = reduce_filtration(filt, F2).barcode()
         for eps in filt.event_values():
-            assert bc.alive_count(0, eps) == threshold_clusters(weighted, eps).n_clusters
+            assert bc.alive_count(0, eps) == threshold_clusters(g, eps).n_clusters
 
 
 def test_euler_characteristic():
@@ -226,7 +221,7 @@ def test_every_simplex_paired_or_essential():
 
 def test_zero_length_intervals_flagged_and_filterable():
     # vertex and its killing edge born together
-    g = DissimilarityGraph(2, {(0, 1): 0.0})
+    g = WeightedGraph.from_dissimilarities(2, {(0, 1): 0.0})
     filt = build_vr_filtration(g, 1, 1.0)
     bc = reduce_filtration(filt, F2).barcode()
     zero = [iv for iv in bc.intervals(0) if iv.is_zero_length]
