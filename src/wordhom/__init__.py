@@ -1,5 +1,10 @@
 """Persistent homology and clustering for weighted dissimilarity graphs
-and word-association networks."""
+and word-association networks.
+
+Importing the package loads neither numpy nor scipy: the functions that
+compute with them import them when called. The dense oracle of
+:mod:`wordhom.homology` is imported on first access to one of its names.
+"""
 
 from .fields import PrimeField
 from .simplices import Simplex, canonicalize
@@ -19,14 +24,6 @@ from .complexes import (
     build_vr_filtration,
     face_closure,
     validate_complex,
-)
-from .homology import (
-    CosetReducer,
-    betti_at,
-    betti_numbers,
-    betti_of_complex,
-    homology_basis,
-    rank_mod_p,
 )
 from .reduction import Barcode, Interval, ReducedFiltration, reduce_filtration
 from .clustering import (
@@ -57,6 +54,18 @@ from .estimators import (
 )
 
 __version__ = "0.1.0"
+
+_HOMOLOGY_NAMES = frozenset(
+    ("CosetReducer", "betti_at", "betti_numbers", "betti_of_complex", "homology_basis", "rank_mod_p")
+)
+
+
+def __getattr__(name: str):
+    if name in _HOMOLOGY_NAMES:
+        from . import homology
+
+        return getattr(homology, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AssociationCorpus",

@@ -7,8 +7,6 @@ a dependency for it.
 
 from __future__ import annotations
 
-import inspect
-
 
 class ParamsMixin:
     """get_params/set_params backed by the __init__ signature.
@@ -20,6 +18,8 @@ class ParamsMixin:
 
     @classmethod
     def _param_names(cls) -> list[str]:
+        import inspect
+
         sig = inspect.signature(cls.__init__)
         return sorted(name for name in sig.parameters if name != "self")
 

@@ -8,16 +8,17 @@ graph's dissimilarity order, with the vertex births the filtration
 uses; Markov flow and modularity read the strengths. The sweeps sort
 the edges, derive the vertex births and set up the modularity scorer
 once, then walk the grid in ascending order.
+
+Result types are named tuples. numpy and scipy.sparse are imported
+inside the functions that compute with them (Markov flow and the
+modularity scorer), so importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .complexes import WeightedGraph
 
@@ -184,14 +185,14 @@ def persistence_clusters(
     return Clustering(uf.labels())
 
 
-@dataclass(frozen=True)
-class MarkovResult:
+class MarkovResult(NamedTuple):
     clustering: Clustering
     converged: bool
     n_iter: int
 
 
 def _normalize_columns(m: sparse.csc_matrix) -> sparse.csc_matrix:
+    import numpy as np
     from scipy import sparse
 
     sums = np.asarray(m.sum(axis=0)).ravel()
@@ -204,6 +205,44 @@ def _normalize_columns(m: sparse.csc_matrix) -> sparse.csc_matrix:
         sums = np.asarray(m.sum(axis=0)).ravel()
     scale = sparse.diags(1.0 / sums)
     return (m @ scale).tocsc()
+
+
+def _rescale_prune_rescale(m: sparse.csc_matrix, prune: float) -> sparse.csc_matrix:
+    """Normalize the columns, drop entries below ``prune``, normalize
+    again: bit-identical to ``_normalize_columns`` on both sides of the
+    prune, without its two diagonal-matrix products.
+
+    ``_normalize_columns`` multiplies by a diagonal matrix, and scipy's
+    sparse product emits each column's entries in reverse storage order,
+    so its second column sums add each column backwards. The second sums
+    here read each column reversed; the two reversals of that route
+    cancel, so the entries stay in storage order. A column that is or
+    becomes empty needs ``_normalize_columns``' self-loop, so such a step
+    takes that route.
+    """
+    import numpy as np
+    from scipy import sparse
+
+    counts = np.diff(m.indptr)
+    if counts.all():
+        col = np.repeat(np.arange(m.shape[1]), counts)
+        sums = np.add.reduceat(m.data, m.indptr[:-1])
+        if sums.all():
+            data = m.data * (1.0 / sums)[col]
+            keep = (data >= prune) & (data != 0.0)
+            data, indices, col = data[keep], m.indices[keep], col[keep]
+            counts = np.bincount(col, minlength=m.shape[1])
+            if counts.all():
+                indptr = np.concatenate(([0], np.cumsum(counts))).astype(m.indptr.dtype)
+                reverse = (indptr[:-1] + indptr[1:] - 1)[col] - np.arange(col.size)
+                data *= (1.0 / np.add.reduceat(data[reverse], indptr[:-1]))[col]
+                out = sparse.csc_matrix((data, indices, indptr), shape=m.shape)
+                out.eliminate_zeros()  # the product route drops underflows too
+                return out
+    m = _normalize_columns(m)
+    m.data[m.data < prune] = 0.0
+    m.eliminate_zeros()
+    return _normalize_columns(m)
 
 
 def markov_clusters(
@@ -227,6 +266,7 @@ def markov_clusters(
     stops when the largest entry change falls below ``tol``; hitting
     ``max_iter`` first is reported via ``converged=False``.
     """
+    import numpy as np
     from scipy import sparse
 
     if inflation <= 1:
@@ -238,7 +278,7 @@ def markov_clusters(
         return MarkovResult(Clustering([]), True, 0)
 
     rows, cols, data = [], [], []
-    edges = graph.edges()
+    edges = graph.pair_sorted_edges()
     wmax = max((w for _, _, w in edges), default=0.0) or 1.0  # all weights 0 (every d = 1): self-loops only
     for i, j, w in edges:
         rows.extend((i, j))
@@ -259,11 +299,7 @@ def markov_clusters(
         for _ in range(expansion - 1):
             powered = (powered @ m).tocsc()
         powered.data = np.power(powered.data, inflation)
-        powered = _normalize_columns(powered)
-        powered.data[powered.data < prune] = 0.0
-        powered.eliminate_zeros()
-        powered = _normalize_columns(powered)
-        m = powered
+        m = _rescale_prune_rescale(powered, prune)
         delta = (m - prev).tocsc()
         change = float(np.abs(delta.data).max()) if delta.nnz else 0.0
         if change < tol:
@@ -279,6 +315,8 @@ def _markov_labels(m: sparse.csr_matrix, n: int) -> list[int]:
     are joined into systems along their mutual support, and every
     vertex follows the attractors feeding it; overlaps resolve to the
     lowest-labeled system."""
+    import numpy as np
+
     diag = m.diagonal()
     attractors = [int(v) for v in np.nonzero(diag > 0)[0]]
     attractor_set = set(attractors)
@@ -318,16 +356,20 @@ class _Scorer:
     __slots__ = ("i", "j", "w", "degrees", "m_total")
 
     def __init__(self, graph: WeightedGraph):
+        import numpy as np
+
         self.m_total = 2.0 * graph.total_weight()
         if self.m_total == 0.0:
             raise ValueError("modularity is undefined for a graph with no edges or no edge weight")
-        edges = graph.edges()
+        edges = graph.pair_sorted_edges()
         self.i = np.array([e[0] for e in edges], dtype=np.intp)
         self.j = np.array([e[1] for e in edges], dtype=np.intp)
         self.w = np.array([e[2] for e in edges], dtype=np.float64)
         self.degrees = graph.degrees()
 
     def __call__(self, clustering: Clustering) -> float:
+        import numpy as np
+
         # bincount adds its weights one at a time in input order
         labels = np.array(clustering.labels, dtype=np.intp)
         li, lj = labels[self.i], labels[self.j]
@@ -357,15 +399,13 @@ def modularity(graph: WeightedGraph, clustering: Clustering) -> float:
     return _Scorer(graph)(clustering)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     param: float
     q: float
     n_clusters: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Rows in grid order; ``unconverged`` lists the MCL grid points
     whose flow hit ``max_iter`` before converging."""
 
@@ -444,13 +484,20 @@ def _persistence_rows(
     tau' makes the same decisions, and its partition and Q are the
     pass at tau's. A new pass starts only at the first point with
     tau' >= rejected.
+
+    Under zero births every lifetime is the edge's own dissimilarity, so
+    the pass at tau is the threshold pass at min(tau, 1); those rows come
+    from the one pass of ``_threshold_rows``.
     """
     for tau in grid:
         _check_tau(tau)
+    births = graph.vertex_births(vertex_birth)
+    if vertex_birth == "zero":
+        rows = _threshold_rows(graph, [min(tau, 1.0) for tau in grid])
+        return [SweepRow(tau, row.q, row.n_clusters) for tau, row in zip(grid, rows)]
     order = sorted(range(len(grid)), key=grid.__getitem__)
     score = _Scorer(graph)
     edges = graph.sorted_dissimilarities()
-    births = graph.vertex_births(vertex_birth)
     rows = [None] * len(grid)
     rejected, q, n_clusters = -math.inf, 0.0, 0
     for idx in order:

@@ -3,18 +3,21 @@
 :class:`WeightedGraph` is the one graph type of the package: it holds
 each edge's strength w and its dissimilarity d = 1 - w. Filtrations,
 thresholds and merge persistence read d; modularity and Markov flow
-read w.
+read w, through a pair-sorted edge list the graph sorts once. The
+module needs only the standard library; :meth:`WeightedGraph.degrees`
+imports numpy when it is called.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterable, Iterator, Mapping, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TextIO
 
 from .simplices import Simplex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 VERTEX_BIRTH_MODES = ("zero", "first-edge")
 
@@ -33,9 +36,11 @@ class WeightedGraph:
     or cluster (conceptually infinite dissimilarity); they are not
     densified to d = 1. Edges keep their insertion order, which sets
     the summation order of :meth:`degrees` and :meth:`total_weight`.
+    The pair-sorted edge list is built on first use and kept; it is
+    not part of the pickled state.
     """
 
-    __slots__ = ("n", "_w", "_d")
+    __slots__ = ("n", "_w", "_d", "_pair_sorted")
 
     def __init__(self, n: int, weights: Mapping[tuple[int, int], float]):
         w = _checked_edges(n, weights, "weight", zero_ok=False)
@@ -52,6 +57,7 @@ class WeightedGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_pair_sorted", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightedGraph is immutable")
@@ -68,7 +74,14 @@ class WeightedGraph:
 
     def edges(self) -> list[tuple[int, int, float]]:
         """Edges as (i, j, w), sorted by vertex pair."""
-        return [(i, j, w) for (i, j), w in sorted(self._w.items())]
+        return list(self.pair_sorted_edges())
+
+    def pair_sorted_edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges of :meth:`edges` as the graph's own cached tuple."""
+        if self._pair_sorted is None:
+            edges = tuple((i, j, w) for (i, j), w in sorted(self._w.items()))
+            object.__setattr__(self, "_pair_sorted", edges)
+        return self._pair_sorted
 
     def dissimilarity(self, i: int, j: int) -> float | None:
         if i > j:
@@ -112,6 +125,8 @@ class WeightedGraph:
         return [0.0 if b == math.inf else b for b in first]
 
     def degrees(self) -> np.ndarray:
+        import numpy as np
+
         k = [0.0] * self.n
         for (i, j), w in self._w.items():
             k[i] += w

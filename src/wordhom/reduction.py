@@ -23,17 +23,15 @@ therefore those of the full left-to-right reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .chains import Chain
 from .complexes import Filtration
 from .fields import PrimeField
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """Half-open lifetime [birth, death) of one homology class.
 
     ``death`` is ``math.inf`` for classes that never die. Indices

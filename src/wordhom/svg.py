@@ -1,8 +1,11 @@
-"""Barcode rendering as standalone SVG documents."""
+"""Barcode rendering as standalone SVG documents.
+
+Text is escaped by :func:`_escape`, the three replacements of
+``xml.sax.saxutils.escape``; importing that module would load
+``urllib`` and the network stack behind it.
+"""
 
 from __future__ import annotations
-
-from xml.sax.saxutils import escape
 
 from .reduction import Barcode
 
@@ -15,6 +18,11 @@ _BAR_HEIGHT = 10
 _BAR_GAP = 4
 _GROUP_HEADER = 20
 _PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#7d3c98", "#b7950b", "#34495e")
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``>`` and ``<``, in that order."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:
@@ -62,7 +70,7 @@ def render_barcode_svg(
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     if config:
         echo = " ".join(f"{k}={config[k]}" for k in sorted(config))
-        out.append(f"<!-- {escape(echo).replace('--', '- -')} -->")
+        out.append(f"<!-- {_escape(echo).replace('--', '- -')} -->")
     out += [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{CANVAS_WIDTH}" height="{height}" '
@@ -72,7 +80,7 @@ def render_barcode_svg(
     if title:
         out.append(
             f'<text x="{CANVAS_WIDTH // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
         )
 
     axis_y = height - _MARGIN_BOTTOM + 12

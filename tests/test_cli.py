@@ -1,9 +1,14 @@
 import io
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import wordhom
 from wordhom import PrimeField, betti_at, build_vr_filtration, parse_edge_list
 from wordhom.cli import main
 
@@ -346,3 +351,58 @@ def test_output_headers_embed_configuration(edges_tsv, tmp_path, capsys):
     joined = "\n".join(header)
     for needle in ("command=persist", "field=3", "max_dim=2", "version="):
         assert needle in joined
+
+
+
+# Modules `import wordhom` must not load: numpy and scipy (imported where
+# they compute), the network stack behind xml.sax.saxutils, and
+# dataclasses/inspect.
+HEAVY_MODULES = ("numpy", "scipy", "xml.sax", "urllib", "ssl", "email", "socket", "dataclasses", "inspect")
+
+
+def heavy_modules_loaded_by(script: str) -> list[str]:
+    """Modules of HEAVY_MODULES (or below them) that running ``script``
+    in a fresh interpreter newly loads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wordhom.__file__)))
+    code = "\n".join(
+        [
+            "import json, sys",
+            "before = set(sys.modules)",
+            script,
+            f"heavy = {HEAVY_MODULES!r}",
+            "new = [m for m in set(sys.modules) - before if m in heavy or m.startswith(tuple(h + '.' for h in heavy))]",
+            "print(json.dumps(sorted(new)))",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_heavy_modules():
+    assert heavy_modules_loaded_by("import wordhom, wordhom.cli") == []
+
+
+def test_vr_commands_leave_numpy_unloaded(tmp_path):
+    rng = random.Random(10)
+    lines = [
+        f"W{a}\tW{b}\t{rng.uniform(0.05, 1.0):.3f}"
+        for a, b in itertools.combinations(range(10), 2)
+        if rng.random() < 0.6
+    ]
+    graph = tmp_path / "graph.tsv"
+    graph.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    calls = [
+        ["filtrate", "--in", str(graph), "--out", f"{out}.filt.tsv"],
+        ["persist", "--in", str(graph), "--out", f"{out}.bar.tsv", "--svg", f"{out}.svg", "--cycles", f"{out}.cyc.tsv"],
+        ["betti", "--in", str(graph), "--at", "0.5"],
+    ]
+    script = "\n".join(
+        ["import contextlib, io", "from wordhom import cli", "with contextlib.redirect_stdout(io.StringIO()):"]
+        + [f"    assert cli.main({argv!r}) == 0" for argv in calls]
+    )
+    loaded = heavy_modules_loaded_by(script)
+    assert not [m for m in loaded if m == "numpy" or m.startswith("numpy.")], loaded
+    assert (tmp_path / "out.cyc.tsv").read_text().count("\n") > 1

@@ -1,15 +1,13 @@
 import math
-import os
+import pickle
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import wordhom
 from wordhom import (
     Clustering,
+    SweepResult,
     SweepRow,
     WeightedGraph,
     markov_clusters,
@@ -151,6 +149,47 @@ def test_mcl_non_convergence_flag():
     assert not result.converged
     assert result.n_iter == 1
     assert len(result.clustering) == 10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1e-5, 0.05, 0.3, 0.6]),
+    st.sampled_from([1.5, 2.0, 3.0]),
+)
+def test_inflation_step_equals_normalize_route(n, seed, prune, inflation):
+    np = pytest.importorskip("numpy")
+    sparse = pytest.importorskip("scipy.sparse")
+    from wordhom.clustering import _normalize_columns, _rescale_prune_rescale
+
+    rng = np.random.default_rng(seed)
+    a = sparse.random(n, n, density=0.5, random_state=rng, format="csc")
+    a.data = a.data ** 4  # spread the scale so prunes and underflows happen
+    m = (a @ sparse.random(n, n, density=0.6, random_state=rng, format="csc")).tocsc()
+    m.data = np.power(m.data, inflation)
+    expected = _normalize_columns(m.copy())
+    expected.data[expected.data < prune] = 0.0
+    expected.eliminate_zeros()
+    expected = _normalize_columns(expected)
+    got = _rescale_prune_rescale(m.copy(), prune)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+def test_result_types_are_value_tuples():
+    row = SweepRow(0.5, 0.25, 3)
+    result = SweepResult("threshold", (row, SweepRow(0.7, 0.5, 2)))
+    for value in (row, result):
+        clone = pickle.loads(pickle.dumps(value))
+        assert clone == value and hash(clone) == hash(value)
+    mcl = markov_clusters(two_cliques(), 2.0)
+    assert pickle.loads(pickle.dumps(mcl)) == mcl
+    assert result.unconverged == ()
+    assert result.best == SweepRow(0.7, 0.5, 2)
+    assert repr(row) == "SweepRow(param=0.5, q=0.25, n_clusters=3)"
+    with pytest.raises(AttributeError):
+        row.q = 1.0
 
 
 def test_mcl_parameter_validation():
@@ -342,9 +381,3 @@ def test_threshold_and_modularity_match_networkx():
             expected = nx.community.modularity(full, groups, weight="weight")
             assert abs(modularity(g, c) - expected) < 1e-12
 
-
-def test_import_leaves_scipy_unloaded():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wordhom.__file__)))
-    code = "import sys, wordhom; sys.exit('scipy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

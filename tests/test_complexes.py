@@ -216,8 +216,11 @@ def test_graph_pickle_round_trip():
         WeightedGraph(4, {(2, 3): 0.25, (0, 1): 0.7, (1, 2): 0.1}),
         WeightedGraph.from_dissimilarities(3, {(0, 1): 0.3, (0, 2): 1.0}),
     ):
+        g.edges()  # fills the pair-sorted cache, which is not pickled
+        assert g.__getstate__() == (g.n, g._w, g._d)
         clone = pickle.loads(pickle.dumps(g))
         assert clone == g
+        assert clone.edges() == g.edges()
         assert clone.degrees().tolist() == g.degrees().tolist()
         assert clone.total_weight() == g.total_weight()
         with pytest.raises(AttributeError):
@@ -237,3 +240,13 @@ def test_unknown_vertex_birth_mode_same_error_everywhere():
             route()
         messages.add(str(info.value))
     assert len(messages) == 1
+
+
+def test_edges_are_a_fresh_pair_sorted_list():
+    g = WeightedGraph(4, {(2, 3): 0.25, (0, 1): 0.7, (1, 2): 0.1})
+    first = g.edges()
+    assert first == [(0, 1, 0.7), (1, 2, 0.1), (2, 3, 0.25)]
+    first.clear()
+    assert g.edges() == [(0, 1, 0.7), (1, 2, 0.1), (2, 3, 0.25)]
+    assert g.edges() is not g.edges()
+    assert tuple(g.edges()) == g.pair_sorted_edges()

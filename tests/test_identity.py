@@ -1,10 +1,13 @@
-"""Byte-identity guard for the persistence exports.
+"""Byte-identity guard for the persistence and sweep exports.
 
 The files under ``data/identity`` hold the barcode and cycles TSVs of
 three fixtures over Z/2 and Z/3, written by the boundary-column
-reduction that preceded the cohomology reduction. Any change to the
-reduction must reproduce them byte for byte. To rewrite them after a
-deliberate change of output, run ``python tests/test_identity.py``.
+reduction that preceded the cohomology reduction, and the sweep TSVs of
+every method on a 120-word synthetic corpus, written by the per-point
+Markov iteration that preceded in-place column scaling. Any change to
+the reduction or the clustering must reproduce them byte for byte. To
+rewrite them after a deliberate change of output, run
+``python tests/test_identity.py``.
 """
 
 import io
@@ -13,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from wordhom import Filtration, PrimeField, build_vr_filtration, reduce_filtration
-from wordhom.exports import write_barcode_tsv, write_cycles_tsv
+from wordhom import Filtration, PrimeField, build_vr_filtration, reduce_filtration, sweep, synthetic_corpus
+from wordhom.exports import write_barcode_tsv, write_cycles_tsv, write_sweep_tsv
 from conftest import circle_filtration, random_dissimilarity_graph, shell_arm_complex
 
 DATA = Path(__file__).parent / "data" / "identity"
@@ -47,6 +50,38 @@ def render(name: str, p: int) -> dict[str, str]:
     return out
 
 
+MCL_GRID = (1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6)
+SWEEPS = {
+    "threshold": ("threshold", {}),
+    "persistence-first-edge": ("persistence", {"vertex_birth": "first-edge"}),
+    "persistence-zero": ("persistence", {"vertex_birth": "zero"}),
+    "mcl": ("mcl", {}),
+    "mcl-max-iter-3": ("mcl", {"max_iter": 3}),
+}
+
+
+def sweep_grid(method: str, graph) -> list[float]:
+    """Every dissimilarity event plus the grid's edges, in a shuffled
+    order; persistence also gets points past every lifetime."""
+    if method == "mcl":
+        return list(MCL_GRID)
+    grid = list(graph.dissimilarity_events()) + [0.0, 1.0]
+    if method == "persistence":
+        grid += [1.5, float("inf")]
+    random.Random(7).shuffle(grid)
+    return grid
+
+
+def render_sweep(name: str) -> str:
+    """Sweep TSV of one method on ``synthetic_corpus(n_words=120, seed=7)``."""
+    method, params = SWEEPS[name]
+    graph = synthetic_corpus(n_words=120, seed=7).to_weighted_graph()
+    result = sweep(graph, method, sweep_grid(method, graph), **params)
+    buf = io.StringIO()
+    write_sweep_tsv(buf, result, config={"corpus": "synthetic-120-seed-7", "sweep": name})
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("p", FIELDS)
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_exports_match_recorded_bytes(name, p):
@@ -55,9 +90,17 @@ def test_exports_match_recorded_bytes(name, p):
         assert text == expected, f"{name} over Z/{p}: {kind} TSV differs from the recorded one"
 
 
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweeps_match_recorded_bytes(name):
+    expected = (DATA / f"sweep-{name}.tsv").read_text(encoding="utf-8")
+    assert render_sweep(name) == expected, f"{name} sweep TSV differs from the recorded one"
+
+
 if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     for name in sorted(FIXTURES):
         for p in FIELDS:
             for kind, text in render(name, p).items():
                 (DATA / f"{name}-p{p}.{kind}.tsv").write_text(text, encoding="utf-8", newline="\n")
+    for name in sorted(SWEEPS):
+        (DATA / f"sweep-{name}.tsv").write_text(render_sweep(name), encoding="utf-8", newline="\n")

@@ -1,7 +1,9 @@
 import math
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 from wordhom import Barcode, Interval, render_barcode_svg
+from wordhom.svg import _escape
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -76,6 +78,11 @@ def test_title_escaped():
     doc = render_barcode_svg(bc, title="a < b & c")
     root = parse(doc)  # would raise if unescaped
     assert any((t.text or "").startswith("a < b") for t in root.iter(f"{SVG_NS}text"))
+
+
+def test_escape_matches_saxutils():
+    for text in ("", "plain", "a < b & c", "&lt;", "<&>", "&amp;&gt;", "-->", "x>y<z&&"):
+        assert _escape(text) == escape(text)
 
 
 def test_config_echoed_as_comment():
