@@ -216,14 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_filtrate(args) -> int:
     _check_paths(args, "out")
-    corpus = _load_corpus(args)
-    filtration = build_vr_filtration(
-        corpus.to_weighted_graph(),
-        max_dim=args.max_dim,
-        max_eps=args.max_eps,
-        vertex_birth=args.vertex_birth,
-        max_simplices=args.max_simplices,
-    )
+    filtration = _load_filtration(args)
     with _open_out(args.out) as out:
         write_filtration_tsv(out, filtration, config=_config(args))
     return 0

@@ -154,7 +154,7 @@ def threshold_clusters(graph: WeightedGraph, eps: float) -> Clustering:
     """Connected components of the subgraph whose edges have
     dissimilarity 1 - w at most eps."""
     _check_eps(eps)
-    edges = graph.sorted_dissimilarities()
+    edges = graph.merge_order()
     uf = UnionFind(graph.n)
     _merge(edges[: bisect_right(edges, (eps, math.inf))], uf, [0.0] * graph.n, eps)
     return Clustering(uf.labels())
@@ -178,7 +178,7 @@ def persistence_clusters(
     test can never pass afterwards.
     """
     _check_tau(tau)
-    edges = graph.sorted_dissimilarities()
+    edges = graph.merge_order()
     births = graph.vertex_births(vertex_birth)
     uf = UnionFind(graph.n)
     _merge(edges, uf, births, tau)
@@ -450,7 +450,7 @@ def _threshold_rows(graph: WeightedGraph, grid: list[float]) -> list[SweepRow]:
         _check_eps(eps)
     order = sorted(range(len(grid)), key=grid.__getitem__)
     score = _Scorer(graph)
-    edges = graph.sorted_dissimilarities()
+    edges = graph.merge_order()
     uf = UnionFind(graph.n)
     zero = [0.0] * graph.n
     rows = [None] * len(grid)
@@ -497,7 +497,7 @@ def _persistence_rows(
         return [SweepRow(tau, row.q, row.n_clusters) for tau, row in zip(grid, rows)]
     order = sorted(range(len(grid)), key=grid.__getitem__)
     score = _Scorer(graph)
-    edges = graph.sorted_dissimilarities()
+    edges = graph.merge_order()
     rows = [None] * len(grid)
     rejected, q, n_clusters = -math.inf, 0.0, 0
     for idx in order:

@@ -2,16 +2,19 @@
 
 :class:`WeightedGraph` is the one graph type of the package: it holds
 each edge's strength w and its dissimilarity d = 1 - w. Filtrations,
-thresholds and merge persistence read d; modularity and Markov flow
-read w, through a pair-sorted edge list the graph sorts once. The
-module needs only the standard library; :meth:`WeightedGraph.degrees`
-imports numpy when it is called.
+thresholds and merge persistence read d in a merge order the graph
+sorts once; modularity and Markov flow read w in a pair order it also
+sorts once. A :class:`Filtration` holds sorted vertex tuples and births
+and makes :class:`Simplex` objects only on request. The module needs
+only the standard library; :meth:`WeightedGraph.degrees` imports numpy
+when it is called.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TextIO
 
 from .simplices import Simplex
@@ -36,11 +39,11 @@ class WeightedGraph:
     or cluster (conceptually infinite dissimilarity); they are not
     densified to d = 1. Edges keep their insertion order, which sets
     the summation order of :meth:`degrees` and :meth:`total_weight`.
-    The pair-sorted edge list is built on first use and kept; it is
-    not part of the pickled state.
+    The pair-sorted and the dissimilarity-sorted edge lists are built
+    on first use and kept; they are not part of the pickled state.
     """
 
-    __slots__ = ("n", "_w", "_d", "_pair_sorted")
+    __slots__ = ("n", "_w", "_d", "_pair_sorted", "_merge_order")
 
     def __init__(self, n: int, weights: Mapping[tuple[int, int], float]):
         w = _checked_edges(n, weights, "weight", zero_ok=False)
@@ -58,6 +61,7 @@ class WeightedGraph:
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_pair_sorted", None)
+        object.__setattr__(self, "_merge_order", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightedGraph is immutable")
@@ -90,7 +94,14 @@ class WeightedGraph:
 
     def sorted_dissimilarities(self) -> list[tuple[float, int, int]]:
         """Edges as (d, i, j) in increasing dissimilarity: the merge order."""
-        return sorted((d, i, j) for (i, j), d in self._d.items())
+        return list(self.merge_order())
+
+    def merge_order(self) -> tuple[tuple[float, int, int], ...]:
+        """The edges of :meth:`sorted_dissimilarities` as the graph's own cached tuple."""
+        if self._merge_order is None:
+            order = tuple(sorted((d, i, j) for (i, j), d in self._d.items()))
+            object.__setattr__(self, "_merge_order", order)
+        return self._merge_order
 
     def dissimilarity_events(self) -> tuple[float, ...]:
         """Sorted distinct edge dissimilarities."""
@@ -171,31 +182,35 @@ def _checked_edges(n: int, values: Mapping[tuple[int, int], float], name: str, z
 class Filtration:
     """Distinct simplices tagged with birth values, sorted by (birth, dim, vertices).
 
+    ``vertices`` and ``births`` are parallel tuples in that order;
+    :attr:`entries` pairs them as ``(Simplex, birth)`` on first use.
     Every face of a simplex appears earlier with birth no larger than
     the simplex's own; :func:`build_vr_filtration` guarantees this by
     construction and :meth:`validate` re-checks it.
     """
 
-    __slots__ = ("_entries", "_births", "max_dim", "max_eps")
-
     def __init__(self, entries: Iterable[tuple[Simplex, float]], max_dim: int, max_eps: float):
-        entries = tuple((s, float(b)) for s, b in entries)
-        keys = [(b, s.dim, s.vertices) for s, b in entries]
-        if keys != sorted(keys):
-            raise ValueError("filtration entries must be sorted by (birth, dim, vertices)")
-        seen = set()
-        for s, b in entries:
-            if s.vertices in seen:
-                raise ValueError(f"{s!r} appears more than once in the filtration")
-            seen.add(s.vertices)
+        self._set([(float(b), len(s), s.vertices) for s, b in entries], max_dim, max_eps)
+
+    def _set(self, rows: list[tuple[float, int, tuple[int, ...]]], max_dim: int, max_eps: float) -> None:
+        """Sort (birth, vertex count, vertices) rows and store them."""
+        rows.sort()
+        position: dict[tuple[int, ...], int] = {}
+        for b, size, vs in rows:
+            if vs in position:
+                raise ValueError(f"{Simplex(vs)!r} appears more than once in the filtration")
             if b < 0:
-                raise ValueError(f"negative birth {b} for {s!r}")
-            if s.dim > max_dim:
-                raise ValueError(f"{s!r} exceeds max_dim={max_dim}")
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_births", tuple(b for _, b in entries))
-        object.__setattr__(self, "max_dim", max_dim)
-        object.__setattr__(self, "max_eps", float(max_eps))
+                raise ValueError(f"negative birth {b} for {Simplex(vs)!r}")
+            if size > max_dim + 1:
+                raise ValueError(f"{Simplex(vs)!r} exceeds max_dim={max_dim}")
+            position[vs] = len(position)
+        vars(self).update(
+            vertices=tuple(vs for _, _, vs in rows),
+            births=tuple(b for b, _, _ in rows),
+            _position=position,
+            max_dim=max_dim,
+            max_eps=float(max_eps),
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Filtration is immutable")
@@ -209,50 +224,59 @@ class Filtration:
     ) -> "Filtration":
         """Wrap a fixed complex as a filtration (uniform birth by default)."""
         sims = set(simplices)
-        if isinstance(birth, Mapping):
-            entries = [(s, float(birth[s])) for s in sims]
-        else:
-            entries = [(s, float(birth)) for s in sims]
-        entries.sort(key=lambda e: (e[1], e[0].dim, e[0].vertices))
+        births = birth if isinstance(birth, Mapping) else dict.fromkeys(sims, birth)
         max_dim = max((s.dim for s in sims), default=0)
-        return cls(entries, max_dim, max_eps)
+        return cls([(s, births[s]) for s in sims], max_dim, max_eps)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.vertices)
 
     def __iter__(self) -> Iterator[tuple[Simplex, float]]:
-        return iter(self._entries)
+        return iter(self.entries)
 
-    @property
+    @cached_property
     def entries(self) -> tuple[tuple[Simplex, float], ...]:
-        return self._entries
+        """``(Simplex, birth)`` pairs, made on first use and kept."""
+        return tuple((Simplex(vs), b) for vs, b in zip(self.vertices, self.births))
 
     def complex_at(self, eps: float) -> set[Simplex]:
         """All simplices born at or before eps (monotone in eps)."""
-        cut = bisect_right(self._births, eps)
-        return {s for s, _ in self._entries[:cut]}
+        cut = bisect_right(self.births, eps)
+        return {s for s, _ in self.entries[:cut]}
 
     def event_values(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self._births)))
+        return tuple(sorted(set(self.births)))
+
+    @cached_property
+    def face_positions(self) -> tuple[tuple[int | None, ...], ...]:
+        """Per simplex, the positions of its codimension-1 faces in
+        vertex-omission order (None for an absent face)."""
+        get = self._position.get
+        return tuple(
+            tuple(get(vs[:j] + vs[j + 1 :]) for j in range(len(vs))) if len(vs) > 1 else ()
+            for vs in self.vertices
+        )
 
     def validate(self) -> list[str]:
-        """Closure and birth-monotonicity violations (empty when sound)."""
-        births = {s.vertices: b for s, b in self._entries}
+        """Closure and birth-monotonicity violations (empty when sound).
+
+        A face placed after its simplex is born after it: the order puts
+        a face born with its simplex first."""
         problems = []
-        for s, b in self._entries:
-            vs = s.vertices
-            for j in range(len(vs) if len(vs) > 1 else 0):
-                face = vs[:j] + vs[j + 1 :]
-                fb = births.get(face)
-                if fb is None:
-                    problems.append(f"{s!r} present without its face {Simplex(face)!r}")
-                elif fb > b:
-                    problems.append(f"face {Simplex(face)!r} born at {fb} after {s!r} at {b}")
+        for i, faces in enumerate(self.face_positions):
+            for j, f in enumerate(faces):
+                if f is None or f > i:
+                    vs = self.vertices[i]
+                    s, face = Simplex(vs), Simplex(vs[:j] + vs[j + 1 :])
+                    if f is None:
+                        problems.append(f"{s!r} present without its face {face!r}")
+                    else:
+                        problems.append(f"face {face!r} born at {self.births[f]} after {s!r} at {self.births[i]}")
         return problems
 
     def to_tsv(self, stream: TextIO) -> None:
-        for s, b in self._entries:
-            stream.write(f"{b!r}\t{','.join(map(str, s.vertices))}\n")
+        for vs, b in zip(self.vertices, self.births):
+            stream.write(f"{b!r}\t{','.join(map(str, vs))}\n")
 
     def __repr__(self) -> str:
         return f"Filtration({len(self)} simplices, max_dim={self.max_dim}, max_eps={self.max_eps})"
@@ -288,15 +312,15 @@ def build_vr_filtration(
         for v in range(graph.n)
     }
 
-    entries: list[tuple[Simplex, float]] = []
+    rows: list[tuple[float, int, tuple[int, ...]]] = []
 
     def emit(vertices: tuple[int, ...], birth: float) -> None:
-        if max_simplices is not None and len(entries) >= max_simplices:
+        if max_simplices is not None and len(rows) >= max_simplices:
             raise SimplexBudgetError(
                 f"complex exceeds the {max_simplices}-simplex budget; "
                 "lower max_eps or max_dim, or raise the budget"
             )
-        entries.append((Simplex(vertices), birth))
+        rows.append((birth, len(vertices), vertices))
 
     def grow(clique: tuple[int, ...], birth: float, cand: list[int]) -> None:
         # invariant: every candidate is adjacent (within max_eps) to all of clique
@@ -319,8 +343,9 @@ def build_vr_filtration(
         if max_dim >= 1:
             grow((v,), births[v], neighbors[v])
 
-    entries.sort(key=lambda e: (e[1], e[0].dim, e[0].vertices))
-    return Filtration(entries, max_dim, max_eps)
+    filtration = Filtration.__new__(Filtration)
+    filtration._set(rows, max_dim, max_eps)
+    return filtration
 
 
 def face_closure(simplices: Iterable[Simplex]) -> set[Simplex]:

@@ -119,8 +119,6 @@ class PersistenceClustering(_BaseClustering):
         self.vertex_birth = vertex_birth
 
     def _cluster(self, graph):
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
         return persistence_clusters(graph, self.tau, vertex_birth=self.vertex_birth)
 
 

@@ -147,7 +147,6 @@ def read_filtration_tsv(stream: TextIO) -> "Filtration":
             )
         first_line[vertices] = lineno
         entries.append((simplex, birth))
-    entries.sort(key=lambda e: (e[1], e[0].dim, e[0].vertices))
     max_dim = max((s.dim for s, _ in entries), default=0)
     max_eps = max((b for _, b in entries), default=0.0)
     return Filtration(entries, max_dim, max_eps)

@@ -9,7 +9,9 @@ would reduce to zero, so it is skipped ("clearing", Chen & Kerber 2011,
 "Persistent homology computation with a twist"); top-dimension simplices
 have empty coboundaries and cost nothing. The boundary and coboundary
 matrices have the same persistence pairing, so the barcode is that of
-the standard left-to-right boundary reduction.
+the standard left-to-right boundary reduction. Columns are built from
+the filtration's face positions and the barcode from its births; no
+:class:`Simplex` is made until a cycle is asked for.
 
 Representative cycles need reduced boundary columns, which the
 cohomology pass does not produce. :meth:`ReducedFiltration.representative`
@@ -29,6 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 from .chains import Chain
 from .complexes import Filtration
 from .fields import PrimeField
+from .simplices import Simplex
 
 
 class Interval(NamedTuple):
@@ -130,14 +133,9 @@ def _sub_scaled(col: dict[int, int], other: dict[int, int], factor: int, p: int)
     return col
 
 
-def _boundary(vertices: tuple[int, ...], index: dict[tuple[int, ...], int], p: int) -> dict[int, int]:
+def _boundary(faces: tuple[int, ...], p: int) -> dict[int, int]:
     """Boundary column of a simplex: face position -> alternating sign."""
-    if len(vertices) == 1:
-        return {}
-    return {
-        index[vertices[:pos] + vertices[pos + 1 :]]: 1 if pos % 2 == 0 else p - 1
-        for pos in range(len(vertices))
-    }
+    return {f: 1 if j % 2 == 0 else p - 1 for j, f in enumerate(faces)}
 
 
 # A reduced column with the combination of original columns that sums
@@ -195,15 +193,9 @@ class ReducedFiltration:
         self._boundary_cache: dict[int, dict[int, Reduced]] = {}
 
     def barcode(self) -> Barcode:
-        entries = self.filtration.entries
-        intervals = []
-        for i, j in self.pairs:
-            s, b = entries[i]
-            _, d = entries[j]
-            intervals.append(Interval(s.dim, b, d, i, j))
-        for i in self.essentials:
-            s, b = entries[i]
-            intervals.append(Interval(s.dim, b, math.inf, i, None))
+        vertices, births = self.filtration.vertices, self.filtration.births
+        intervals = [Interval(len(vertices[i]) - 1, births[i], births[j], i, j) for i, j in self.pairs]
+        intervals += (Interval(len(vertices[i]) - 1, births[i], math.inf, i, None) for i in self.essentials)
         return Barcode(intervals)
 
     @cached_property
@@ -212,10 +204,6 @@ class ReducedFiltration:
         out: dict[int, int | None] = dict(self.pairs)
         out.update((i, None) for i in self.essentials)
         return out
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {s.vertices: i for i, (s, _) in enumerate(self.filtration.entries)}
 
     def _boundary_columns(self, dim: int) -> dict[int, Reduced]:
         """Left-to-right reduced boundary columns of the dim-simplices
@@ -227,14 +215,14 @@ class ReducedFiltration:
         cached = self._boundary_cache.get(dim)
         if cached is not None:
             return cached
-        entries = self.filtration.entries
-        essentials = [i for i in self.essentials if entries[i][0].dim == dim]
-        deaths = [j for _, j in self.pairs if entries[j][0].dim == dim]
+        vertices, faces = self.filtration.vertices, self.filtration.face_positions
+        essentials = [i for i in self.essentials if len(vertices[i]) == dim + 1]
+        deaths = [j for _, j in self.pairs if len(vertices[j]) == dim + 1]
         track = bool(essentials)
         owners: dict[int, Reduced] = {}
         columns: dict[int, Reduced] = {}
         for j in sorted(deaths + essentials):
-            col = _boundary(entries[j][0].vertices, self._index, self.field.p)
+            col = _boundary(faces[j], self.field.p)
             combo = {j: 1} if track else None
             low = _reduce_column(col, max, owners, self.field, combo)
             if low is not None:
@@ -251,20 +239,18 @@ class ReducedFiltration:
         essential class, the accumulated combination whose boundary
         vanished.
         """
-        entries = self.filtration.entries
+        vertices = self.filtration.vertices
         i = interval.birth_index
         j = interval.death_index
-        if i is None or self._death_of.get(i, -1) != j or entries[i][0].dim != interval.dim:
+        if i is None or self._death_of.get(i, -1) != j or len(vertices[i]) - 1 != interval.dim:
             raise ValueError(f"interval {interval} does not belong to this reduction")
         if j is None:
-            _, combo = self._boundary_columns(interval.dim)[i]
-            terms = {entries[c][0]: v for c, v in combo.items()}
+            _, terms = self._boundary_columns(interval.dim)[i]
         elif interval.dim == 0:
-            terms = {entries[i][0]: 1}
+            terms = {i: 1}
         else:
-            col, _ = self._boundary_columns(interval.dim + 1)[j]
-            terms = {entries[r][0]: v for r, v in col.items()}
-        return Chain(interval.dim, terms)
+            terms, _ = self._boundary_columns(interval.dim + 1)[j]
+        return Chain(interval.dim, {Simplex(vertices[r]): v for r, v in terms.items()})
 
     def __repr__(self) -> str:
         return (
@@ -287,12 +273,10 @@ def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltr
     problems = filtration.validate()
     if problems:
         raise ValueError(f"filtration violates its invariants: {problems[:3]}")
-    entries = filtration.entries
-    index = {s.vertices: i for i, (s, _) in enumerate(entries)}
+    faces = filtration.face_positions
     by_dim: list[list[int]] = [[] for _ in range(filtration.max_dim + 2)]
-    for i, (s, _) in enumerate(entries):
-        by_dim[s.dim].append(i)
-    p = field.p
+    for i, vs in enumerate(filtration.vertices):
+        by_dim[len(vs) - 1].append(i)
 
     pairs: list[tuple[int, int]] = []
     essentials: list[int] = []
@@ -300,7 +284,7 @@ def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltr
     for d in range(filtration.max_dim + 1):
         coboundary: dict[int, dict[int, int]] = {}
         for j in by_dim[d + 1]:
-            for i, sign in _boundary(entries[j][0].vertices, index, p).items():
+            for i, sign in _boundary(faces[j], field.p).items():
                 if i not in cleared:
                     coboundary.setdefault(i, {})[j] = sign
         owners: dict[int, Reduced] = {}

@@ -169,9 +169,20 @@ def test_filtration_tsv_roundtrip_shape():
     assert len(lines) == len(filt)
 
 
-def test_filtration_rejects_unsorted():
-    with pytest.raises(ValueError, match="sorted"):
-        Filtration([(Simplex((0, 1)), 0.5), (Simplex((0,)), 0.0)], 1, 1.0)
+def test_filtration_sorts_its_entries():
+    g = random_dissimilarity_graph(random.Random(11))
+    filt = build_vr_filtration(g, max_dim=2, max_eps=1.0)
+    shuffled = list(filt.entries)
+    random.Random(3).shuffle(shuffled)
+    assert Filtration(shuffled, 2, 1.0).entries == filt.entries
+    assert Filtration(filt.entries, 2, 1.0).entries == filt.entries
+
+
+def test_filtration_entries_are_made_once():
+    filt = build_vr_filtration(random_dissimilarity_graph(random.Random(12)), max_dim=2, max_eps=1.0)
+    assert filt.entries is filt.entries
+    assert [s.vertices for s, _ in filt] == list(filt.vertices)
+    assert [b for _, b in filt] == list(filt.births)
 
 
 def test_filtration_rejects_repeated_simplex():
@@ -217,10 +228,13 @@ def test_graph_pickle_round_trip():
         WeightedGraph.from_dissimilarities(3, {(0, 1): 0.3, (0, 2): 1.0}),
     ):
         g.edges()  # fills the pair-sorted cache, which is not pickled
+        g.sorted_dissimilarities()  # and the merge-order cache, likewise
         assert g.__getstate__() == (g.n, g._w, g._d)
         clone = pickle.loads(pickle.dumps(g))
+        assert clone._pair_sorted is None and clone._merge_order is None
         assert clone == g
         assert clone.edges() == g.edges()
+        assert clone.sorted_dissimilarities() == g.sorted_dissimilarities()
         assert clone.degrees().tolist() == g.degrees().tolist()
         assert clone.total_weight() == g.total_weight()
         with pytest.raises(AttributeError):
@@ -250,3 +264,11 @@ def test_edges_are_a_fresh_pair_sorted_list():
     assert g.edges() == [(0, 1, 0.7), (1, 2, 0.1), (2, 3, 0.25)]
     assert g.edges() is not g.edges()
     assert tuple(g.edges()) == g.pair_sorted_edges()
+    order = [(1.0 - 0.7, 0, 1), (1.0 - 0.25, 2, 3), (1.0 - 0.1, 1, 2)]
+    first = g.sorted_dissimilarities()
+    assert first == order
+    first.clear()
+    assert g.sorted_dissimilarities() == order
+    assert g.sorted_dissimilarities() is not g.sorted_dissimilarities()
+    assert tuple(g.sorted_dissimilarities()) == g.merge_order()
+    assert g.merge_order() is g.merge_order()

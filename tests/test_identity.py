@@ -2,10 +2,14 @@
 
 The files under ``data/identity`` hold the barcode and cycles TSVs of
 three fixtures over Z/2 and Z/3, written by the boundary-column
-reduction that preceded the cohomology reduction, and the sweep TSVs of
+reduction that preceded the cohomology reduction; the sweep TSVs of
 every method on a 120-word synthetic corpus, written by the per-point
-Markov iteration that preceded in-place column scaling. Any change to
-the reduction or the clustering must reproduce them byte for byte. To
+Markov iteration that preceded in-place column scaling; and the
+filtration TSVs of the n=12 VR graph under both vertex-birth modes, of
+the shell_arm complex and of a shuffled filtration file read back and
+written out again, written by the ``Simplex``-backed filtration that
+preceded the array-backed one. Any change to the filtrations, the
+reduction or the clustering must reproduce them byte for byte. To
 rewrite them after a deliberate change of output, run
 ``python tests/test_identity.py``.
 """
@@ -17,16 +21,22 @@ from pathlib import Path
 import pytest
 
 from wordhom import Filtration, PrimeField, build_vr_filtration, reduce_filtration, sweep, synthetic_corpus
-from wordhom.exports import write_barcode_tsv, write_cycles_tsv, write_sweep_tsv
+from wordhom.exports import (
+    read_filtration_tsv,
+    write_barcode_tsv,
+    write_cycles_tsv,
+    write_filtration_tsv,
+    write_sweep_tsv,
+)
 from conftest import circle_filtration, random_dissimilarity_graph, shell_arm_complex
 
 DATA = Path(__file__).parent / "data" / "identity"
 FIELDS = (2, 3)
 
 
-def vr12_filtration():
+def vr12_filtration(vertex_birth="zero"):
     g = random_dissimilarity_graph(random.Random(12), n_min=12, n_max=12, p_edge=0.7)
-    return build_vr_filtration(g, max_dim=3, max_eps=1.0)
+    return build_vr_filtration(g, max_dim=3, max_eps=1.0, vertex_birth=vertex_birth)
 
 
 FIXTURES = {
@@ -48,6 +58,29 @@ def render(name: str, p: int) -> dict[str, str]:
     write_cycles_tsv(buf, reduced, config=config, include_zero_length=True)
     out["cycles"] = buf.getvalue()
     return out
+
+
+def shuffled_filtration():
+    """The first-edge vr12 filtration's rows in a shuffled order, read back."""
+    buf = io.StringIO()
+    vr12_filtration("first-edge").to_tsv(buf)
+    rows = buf.getvalue().splitlines(keepends=True)
+    random.Random(7).shuffle(rows)
+    return read_filtration_tsv(io.StringIO("# shuffled\n" + "".join(rows)))
+
+
+FILTRATIONS = {
+    "vr12-zero": vr12_filtration,
+    "vr12-first-edge": lambda: vr12_filtration("first-edge"),
+    "shell_arm": FIXTURES["shell_arm"],
+    "shuffled": shuffled_filtration,
+}
+
+
+def render_filtration(name: str) -> str:
+    buf = io.StringIO()
+    write_filtration_tsv(buf, FILTRATIONS[name](), config={"filtration": name})
+    return buf.getvalue()
 
 
 MCL_GRID = (1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6)
@@ -96,6 +129,12 @@ def test_sweeps_match_recorded_bytes(name):
     assert render_sweep(name) == expected, f"{name} sweep TSV differs from the recorded one"
 
 
+@pytest.mark.parametrize("name", sorted(FILTRATIONS))
+def test_filtrations_match_recorded_bytes(name):
+    expected = (DATA / f"filtration-{name}.tsv").read_text(encoding="utf-8")
+    assert render_filtration(name) == expected, f"{name} filtration TSV differs from the recorded one"
+
+
 if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     for name in sorted(FIXTURES):
@@ -104,3 +143,5 @@ if __name__ == "__main__":
                 (DATA / f"{name}-p{p}.{kind}.tsv").write_text(text, encoding="utf-8", newline="\n")
     for name in sorted(SWEEPS):
         (DATA / f"sweep-{name}.tsv").write_text(render_sweep(name), encoding="utf-8", newline="\n")
+    for name in sorted(FILTRATIONS):
+        (DATA / f"filtration-{name}.tsv").write_text(render_filtration(name), encoding="utf-8", newline="\n")

@@ -255,6 +255,25 @@ def test_reduce_rejects_broken_filtration():
         reduce_filtration(Filtration(late_face, 1, 1.0), F2)
 
 
+def test_vr_pipeline_makes_no_simplex(monkeypatch):
+    calls = []
+    init = Simplex.__init__
+
+    def counting_init(self, vertices):
+        calls.append(vertices)
+        init(self, vertices)
+
+    monkeypatch.setattr(Simplex, "__init__", counting_init)
+    g = random_dissimilarity_graph(random.Random(13), n_min=12, n_max=12, p_edge=0.7)
+    filt = build_vr_filtration(g, max_dim=3, max_eps=1.0)
+    barcode = reduce_filtration(filt, F3).barcode()
+    assert barcode.dims == (0, 1, 2, 3)
+    assert calls == []
+    filt.entries  # the API edge does make them, once each
+    filt.entries
+    assert len(calls) == len(filt)
+
+
 def test_barcode_rejects_negative_length():
     with pytest.raises(ValueError):
         Barcode([Interval(0, 1.0, 0.5)])
