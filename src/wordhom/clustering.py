@@ -9,21 +9,25 @@ uses; Markov flow and modularity read the strengths. The sweeps sort
 the edges, derive the vertex births and set up the modularity scorer
 once, then walk the grid in ascending order.
 
+Markov flow's matrix code lives in :mod:`wordhom.markov`, imported on
+the first ``markov_clusters`` call; its products skip scipy's symbolic
+pass and stay byte-identical to ``@`` (see that module). The sweeps
+relabel a union-find forest on arrays (``UnionFind.label_array``) and
+score the label array, with no ``Clustering`` per point.
+
 Result types are named tuples. numpy and scipy.sparse are imported
-inside the functions that compute with them (Markov flow and the
-modularity scorer), so importing this module loads neither.
+inside the functions that compute with them (relabelling and the
+modularity scorer) and by :mod:`wordhom.markov`, so importing this
+module loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import WeightedGraph
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 
 class UnionFind:
@@ -55,14 +59,22 @@ class UnionFind:
 
     def labels(self) -> list[int]:
         """Dense component labels in order of first appearance."""
-        out = []
-        seen: dict[int, int] = {}
-        for v in range(len(self.parent)):
-            root = self.find(v)
-            if root not in seen:
-                seen[root] = len(seen)
-            out.append(seen[root])
-        return out
+        return self.label_array()[0].tolist()
+
+    def label_array(self):
+        """``labels()`` as an integer array, with the number of
+        components, by pointer jumping on a copy of ``parent``: no
+        ``find`` per vertex, and the forest is left as it is."""
+        import numpy as np
+
+        root = np.array(self.parent, dtype=np.intp)
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+        _, first, inverse = np.unique(root, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.intp)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return rank[inverse], first.size
 
 
 class Clustering:
@@ -191,58 +203,35 @@ class MarkovResult(NamedTuple):
     n_iter: int
 
 
-def _normalize_columns(m: sparse.csc_matrix) -> sparse.csc_matrix:
-    import numpy as np
-    from scipy import sparse
+def _check_mcl(
+    inflation: float,
+    expansion: int = 2,
+    prune: float = 0.0,
+    max_iter: int = 1,
+    tol: float = 0.0,
+    self_loop: float = 0.0,
+) -> None:
+    """Reject Markov flow parameters the iteration cannot honour. An
+    omitted parameter takes a value that passes, so a sweep can check
+    each grid point with only the parameters it was given."""
+    from numbers import Integral
 
-    sums = np.asarray(m.sum(axis=0)).ravel()
-    empty = np.nonzero(sums == 0)[0]
-    if empty.size:
-        fix = sparse.csc_matrix(
-            (np.ones(empty.size), (empty, empty)), shape=m.shape, dtype=np.float64
-        )
-        m = (m + fix).tocsc()
-        sums = np.asarray(m.sum(axis=0)).ravel()
-    scale = sparse.diags(1.0 / sums)
-    return (m @ scale).tocsc()
-
-
-def _rescale_prune_rescale(m: sparse.csc_matrix, prune: float) -> sparse.csc_matrix:
-    """Normalize the columns, drop entries below ``prune``, normalize
-    again: bit-identical to ``_normalize_columns`` on both sides of the
-    prune, without its two diagonal-matrix products.
-
-    ``_normalize_columns`` multiplies by a diagonal matrix, and scipy's
-    sparse product emits each column's entries in reverse storage order,
-    so its second column sums add each column backwards. The second sums
-    here read each column reversed; the two reversals of that route
-    cancel, so the entries stay in storage order. A column that is or
-    becomes empty needs ``_normalize_columns``' self-loop, so such a step
-    takes that route.
-    """
-    import numpy as np
-    from scipy import sparse
-
-    counts = np.diff(m.indptr)
-    if counts.all():
-        col = np.repeat(np.arange(m.shape[1]), counts)
-        sums = np.add.reduceat(m.data, m.indptr[:-1])
-        if sums.all():
-            data = m.data * (1.0 / sums)[col]
-            keep = (data >= prune) & (data != 0.0)
-            data, indices, col = data[keep], m.indices[keep], col[keep]
-            counts = np.bincount(col, minlength=m.shape[1])
-            if counts.all():
-                indptr = np.concatenate(([0], np.cumsum(counts))).astype(m.indptr.dtype)
-                reverse = (indptr[:-1] + indptr[1:] - 1)[col] - np.arange(col.size)
-                data *= (1.0 / np.add.reduceat(data[reverse], indptr[:-1]))[col]
-                out = sparse.csc_matrix((data, indices, indptr), shape=m.shape)
-                out.eliminate_zeros()  # the product route drops underflows too
-                return out
-    m = _normalize_columns(m)
-    m.data[m.data < prune] = 0.0
-    m.eliminate_zeros()
-    return _normalize_columns(m)
+    if not inflation > 1:  # also rejects nan
+        raise ValueError("inflation must be > 1")
+    if math.isinf(inflation):
+        raise ValueError("inflation must be finite")
+    if expansion < 2:
+        raise ValueError("expansion must be >= 2")
+    if not isinstance(expansion, Integral):
+        raise ValueError("expansion must be an integer")
+    if not (isinstance(max_iter, Integral) and max_iter >= 1):
+        raise ValueError("max_iter must be an integer >= 1")
+    if not tol >= 0:  # also rejects nan
+        raise ValueError("tol must be >= 0")
+    if not 0 <= prune < 1:
+        raise ValueError("prune must lie in [0, 1)")
+    if not (math.isfinite(self_loop) and self_loop >= 0):
+        raise ValueError("self_loop must be finite and >= 0")
 
 
 def markov_clusters(
@@ -266,82 +255,11 @@ def markov_clusters(
     stops when the largest entry change falls below ``tol``; hitting
     ``max_iter`` first is reported via ``converged=False``.
     """
-    import numpy as np
-    from scipy import sparse
+    _check_mcl(inflation, expansion, prune, max_iter, tol, self_loop)
+    from .markov import flow
 
-    if inflation <= 1:
-        raise ValueError("inflation must be > 1")
-    if expansion < 2:
-        raise ValueError("expansion must be >= 2")
-    n = graph.n
-    if n == 0:
-        return MarkovResult(Clustering([]), True, 0)
-
-    rows, cols, data = [], [], []
-    edges = graph.pair_sorted_edges()
-    wmax = max((w for _, _, w in edges), default=0.0) or 1.0  # all weights 0 (every d = 1): self-loops only
-    for i, j, w in edges:
-        rows.extend((i, j))
-        cols.extend((j, i))
-        data.extend((w / wmax, w / wmax))
-    for v in range(n):
-        rows.append(v)
-        cols.append(v)
-        data.append(float(self_loop))
-    m = sparse.csc_matrix((data, (rows, cols)), shape=(n, n), dtype=np.float64)
-    m = _normalize_columns(m)
-
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        prev = m
-        powered = m
-        for _ in range(expansion - 1):
-            powered = (powered @ m).tocsc()
-        powered.data = np.power(powered.data, inflation)
-        m = _rescale_prune_rescale(powered, prune)
-        delta = (m - prev).tocsc()
-        change = float(np.abs(delta.data).max()) if delta.nnz else 0.0
-        if change < tol:
-            converged = True
-            break
-
-    labels = _markov_labels(m.tocsr(), n)
+    labels, converged, n_iter = flow(graph, inflation, expansion, prune, max_iter, tol, self_loop)
     return MarkovResult(Clustering(labels), converged, n_iter)
-
-
-def _markov_labels(m: sparse.csr_matrix, n: int) -> list[int]:
-    """Interpret a converged flow matrix: attractors (nonzero diagonal)
-    are joined into systems along their mutual support, and every
-    vertex follows the attractors feeding it; overlaps resolve to the
-    lowest-labeled system."""
-    import numpy as np
-
-    diag = m.diagonal()
-    attractors = [int(v) for v in np.nonzero(diag > 0)[0]]
-    attractor_set = set(attractors)
-    uf = UnionFind(n)
-    for a in attractors:
-        for b in m.indices[m.indptr[a] : m.indptr[a + 1]]:
-            if int(b) in attractor_set:
-                uf.union(a, int(b))
-    system_label: dict[int, int] = {}
-    for a in attractors:
-        root = uf.find(a)
-        system_label[root] = min(system_label.get(root, a), a)
-
-    csc = m.tocsc()
-    labels = []
-    next_free = n  # singleton labels for unsupported vertices
-    for v in range(n):
-        rows = csc.indices[csc.indptr[v] : csc.indptr[v + 1]]
-        owners = [system_label[uf.find(int(r))] for r in rows if int(r) in attractor_set]
-        if owners:
-            labels.append(min(owners))
-        else:
-            labels.append(next_free)
-            next_free += 1
-    return labels
 
 
 class _Scorer:
@@ -370,11 +288,16 @@ class _Scorer:
     def __call__(self, clustering: Clustering) -> float:
         import numpy as np
 
+        return self.score(np.array(clustering.labels, dtype=np.intp), clustering.n_clusters)
+
+    def score(self, labels, k: int) -> float:
+        """Modularity of the partition with dense ``labels`` 0..k-1 (an
+        integer array, one label per vertex)."""
+        import numpy as np
+
         # bincount adds its weights one at a time in input order
-        labels = np.array(clustering.labels, dtype=np.intp)
         li, lj = labels[self.i], labels[self.j]
         same = li == lj
-        k = clustering.n_clusters
         intra = np.bincount(li[same], weights=self.w[same], minlength=k).tolist()
         degree_sum = np.bincount(labels, weights=self.degrees, minlength=k).tolist()
         m_total = self.m_total
@@ -449,7 +372,7 @@ def _threshold_rows(graph: WeightedGraph, grid: list[float]) -> list[SweepRow]:
     for eps in grid:
         _check_eps(eps)
     order = sorted(range(len(grid)), key=grid.__getitem__)
-    score = _Scorer(graph)
+    scorer = _Scorer(graph)
     edges = graph.merge_order()
     uf = UnionFind(graph.n)
     zero = [0.0] * graph.n
@@ -462,8 +385,8 @@ def _threshold_rows(graph: WeightedGraph, grid: list[float]) -> list[SweepRow]:
         done = stop
         if uf.n_components != seen_components:
             seen_components = uf.n_components
-            clustering = Clustering(uf.labels())
-            q, n_clusters = score(clustering), clustering.n_clusters
+            labels, n_clusters = uf.label_array()
+            q = scorer.score(labels, n_clusters)
         rows[idx] = SweepRow(eps, q, n_clusters)
     return rows
 
@@ -496,7 +419,7 @@ def _persistence_rows(
         rows = _threshold_rows(graph, [min(tau, 1.0) for tau in grid])
         return [SweepRow(tau, row.q, row.n_clusters) for tau, row in zip(grid, rows)]
     order = sorted(range(len(grid)), key=grid.__getitem__)
-    score = _Scorer(graph)
+    scorer = _Scorer(graph)
     edges = graph.merge_order()
     rows = [None] * len(grid)
     rejected, q, n_clusters = -math.inf, 0.0, 0
@@ -505,8 +428,8 @@ def _persistence_rows(
         if not tau < rejected:
             uf = UnionFind(graph.n)
             rejected = _merge(edges, uf, list(births), tau)
-            clustering = Clustering(uf.labels())
-            q, n_clusters = score(clustering), clustering.n_clusters
+            labels, n_clusters = uf.label_array()
+            q = scorer.score(labels, n_clusters)
         rows[idx] = SweepRow(tau, q, n_clusters)
     return rows
 
@@ -538,6 +461,8 @@ def sweep(
         return SweepResult(method, tuple(_threshold_rows(graph, grid)))
     if method == "persistence":
         return SweepResult(method, tuple(_persistence_rows(graph, grid, **params)))
+    for inflation in grid:
+        _check_mcl(inflation, **params)
     tasks = [(graph, param, params) for param in grid]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -548,3 +473,12 @@ def sweep(
         points = [_mcl_point(t) for t in tasks]
     unconverged = tuple(row.param for row, converged in points if not converged)
     return SweepResult(method, tuple(row for row, _ in points), unconverged)
+
+
+def __getattr__(name: str):
+    # the Markov flow kernels, under the names they had in this module
+    if name in ("_normalize_columns", "_rescale_prune_rescale"):
+        from . import markov
+
+        return getattr(markov, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

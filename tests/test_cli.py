@@ -276,6 +276,26 @@ def test_sweep_rejects_nan_tau(edges_tsv, capsys):
     assert stdout == ""
 
 
+def test_mcl_rejects_bad_parameters(edges_tsv, capsys):
+    cluster = ["cluster", "--in", edges_tsv, "--method", "mcl", "--out", "-"]
+    sweep = ["sweep", "--in", edges_tsv, "--method", "mcl", "--out", "-"]
+    cases = [
+        (cluster + ["--inflation", "nan"], "inflation"),
+        (cluster + ["--inflation", "inf"], "inflation"),
+        (cluster + ["--tol", "nan"], "tol"),
+        (cluster + ["--self-loop", "-1"], "self_loop"),
+        (cluster + ["--prune", "1"], "prune"),
+        (cluster + ["--max-iter", "0"], "max_iter"),
+        (sweep + ["--grid", "2.0,nan"], "inflation"),
+        (sweep + ["--grid", "2.0,3.0", "--self-loop", "nan"], "self_loop"),
+    ]
+    for argv, name in cases:
+        code, stdout, err = run(argv, capsys)
+        assert code == 2, argv
+        assert err.startswith("wordhom: error: ") and name in err, argv
+        assert stdout == "", argv
+
+
 def test_sweep_default_grid_and_argmax(edges_tsv, tmp_path, capsys):
     out = tmp_path / "sweep.tsv"
     code, _, _ = run(

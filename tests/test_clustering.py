@@ -56,6 +56,23 @@ def test_threshold_extremes():
     assert full.n_clusters == uf.n_components
 
 
+def test_label_array_equals_labels():
+    from wordhom import UnionFind
+
+    rng = random.Random(2)
+    for n in (1, 2, 7, 40):
+        uf = UnionFind(n)
+        for _ in range(rng.randint(0, 2 * n)):
+            uf.union(rng.randrange(n), rng.randrange(n))
+            parent = list(uf.parent)
+            labels, k = uf.label_array()
+            assert uf.parent == parent  # no path compression on the forest
+            first_seen = {}
+            expected = [first_seen.setdefault(uf.find(v), len(first_seen)) for v in range(n)]
+            assert (labels.tolist(), k) == (expected, uf.n_components)
+            assert uf.labels() == expected
+
+
 def test_threshold_cat_dog_scales():
     g = WeightedGraph(2, {(0, 1): 0.4})
     assert threshold_clusters(g, 0.7).n_clusters == 1
@@ -194,10 +211,121 @@ def test_result_types_are_value_tuples():
 
 def test_mcl_parameter_validation():
     g = two_cliques()
+    for inflation in (1.0, 0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="inflation"):
+            markov_clusters(g, inflation)
+        with pytest.raises(ValueError, match="inflation"):
+            sweep(g, "mcl", [2.0, inflation])
+    bad = [
+        {"expansion": 1},
+        {"expansion": 2.5},
+        {"expansion": 2.0},
+        {"max_iter": 0},
+        {"max_iter": 2.5},
+        {"tol": math.nan},
+        {"tol": -1e-8},
+        {"prune": -0.1},
+        {"prune": 1.0},
+        {"prune": math.nan},
+        {"self_loop": math.nan},
+        {"self_loop": math.inf},
+        {"self_loop": -1.0},
+    ]
+    for params in bad:
+        with pytest.raises(ValueError, match=next(iter(params))):
+            markov_clusters(g, 2.0, **params)
+        with pytest.raises(ValueError, match=next(iter(params))):
+            sweep(g, "mcl", [2.0, 3.0], **params)
+    edge = markov_clusters(g, 2.0, expansion=3, max_iter=1, tol=math.inf, prune=0.0, self_loop=0.0)
+    assert edge.converged and edge.n_iter == 1
+
+
+def test_mcl_sweep_checks_every_point_first(monkeypatch):
+    from wordhom import clustering
+
+    calls = []
+    monkeypatch.setattr(clustering, "_mcl_point", lambda task: calls.append(task))
     with pytest.raises(ValueError):
-        markov_clusters(g, 1.0)
-    with pytest.raises(ValueError):
-        markov_clusters(g, 2.0, expansion=1)
+        sweep(two_cliques(), "mcl", [2.0, 1.5, math.nan])
+    assert calls == []
+
+
+def csc_with_unsorted_indices(np, sparse, rng, shape, density, empty_cols):
+    """A random CSC matrix whose entries are shuffled within each column,
+    with ``empty_cols`` of its columns emptied."""
+    m = sparse.random(*shape, density=density, random_state=rng, format="csc")
+    m.data = m.data ** 3
+    for j in rng.choice(shape[1], size=min(empty_cols, shape[1]), replace=False):
+        m.data[m.indptr[j] : m.indptr[j + 1]] = 0.0
+    m.eliminate_zeros()
+    for j in range(shape[1]):
+        lo, hi = m.indptr[j], m.indptr[j + 1]
+        order = lo + rng.permutation(hi - lo)
+        m.indices[lo:hi], m.data[lo:hi] = m.indices[order], m.data[order]
+    m.has_sorted_indices = False
+    return m
+
+
+def same_arrays(got, expected):
+    return (
+        got.shape == expected.shape
+        and got.indptr.tolist() == expected.indptr.tolist()
+        and got.indices.tolist() == expected.indices.tolist()
+        and got.data.tobytes() == expected.data.tobytes()
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 14),
+    st.integers(1, 14),
+    st.integers(1, 14),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+    st.integers(0, 3),
+)
+def test_product_equals_matmul(n, k, m, seed, density, empty_cols):
+    """The product helper calls scipy's private numeric kernel; this pins
+    it to ``@`` array for array, index storage order included, so a scipy
+    release that changes either side fails here."""
+    np = pytest.importorskip("numpy")
+    sparse = pytest.importorskip("scipy.sparse")
+    from wordhom.markov import _product
+
+    rng = np.random.default_rng(seed)
+    a = csc_with_unsorted_indices(np, sparse, rng, (n, k), density, empty_cols)
+    b = csc_with_unsorted_indices(np, sparse, rng, (k, m), density, empty_cols)
+    assert same_arrays(_product(a, b), (a @ b).tocsc())
+    # a chained square product, as an expansion=3 round takes it
+    s = csc_with_unsorted_indices(np, sparse, rng, (n, n), density, empty_cols)
+    assert same_arrays(_product(_product(s, s), s), ((s @ s).tocsc() @ s).tocsc())
+
+
+def test_mcl_makes_no_symbolic_product_pass(monkeypatch):
+    """Markov flow sizes its products by a bound, never by scipy's
+    symbolic pass (which ``@`` runs before every sparse product)."""
+    sparse = pytest.importorskip("scipy.sparse")
+    from scipy.sparse import _compressed, _sparsetools
+
+    calls = []
+    symbolic = _sparsetools.csr_matmat_maxnnz
+
+    def counting_maxnnz(*args):
+        calls.append(args[:2])
+        return symbolic(*args)
+
+    for module in (_sparsetools, _compressed):
+        monkeypatch.setattr(module, "csr_matmat_maxnnz", counting_maxnnz)
+    eye = sparse.identity(2, format="csc")
+    eye @ eye  # the counter is live: ``@`` goes through it
+    assert len(calls) == 1
+    calls.clear()
+    g = random_weighted_graph(random.Random(3), n_min=30, n_max=30)
+    for expansion in (2, 3):
+        markov_clusters(g, 2.0, expansion=expansion)
+        markov_clusters(g, 1.2, expansion=expansion, prune=0.3)  # columns emptied: self-loop route
+    sweep(g, "mcl", [1.4, 2.0])
+    assert calls == []
 
 
 def test_modularity_one_cluster_is_zero():

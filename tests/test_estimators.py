@@ -108,5 +108,7 @@ def test_estimator_rejects_bad_inputs(corpus):
         PersistenceClustering(tau=-1.0).fit(corpus)
     with pytest.raises(ValueError, match="tau must be >= 0"):
         PersistenceClustering(tau=float("nan")).fit(corpus)
+    with pytest.raises(ValueError, match="inflation"):
+        MarkovClustering(inflation=float("nan")).fit(corpus)
     with pytest.raises(TypeError):
         ThresholdClustering().fit([[0, 1], [1, 0]])

@@ -8,7 +8,10 @@ Markov iteration that preceded in-place column scaling; and the
 filtration TSVs of the n=12 VR graph under both vertex-birth modes, of
 the shell_arm complex and of a shuffled filtration file read back and
 written out again, written by the ``Simplex``-backed filtration that
-preceded the array-backed one. Any change to the filtrations, the
+preceded the array-backed one; and the Markov flow points (iterations,
+convergence and labels) of the 500-word corpus the benchmark sweeps,
+written by the ``@`` expansion product that preceded the direct call
+of scipy's numeric product kernel. Any change to the filtrations, the
 reduction or the clustering must reproduce them byte for byte. To
 rewrite them after a deliberate change of output, run
 ``python tests/test_identity.py``.
@@ -21,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from wordhom import Filtration, PrimeField, build_vr_filtration, reduce_filtration, sweep, synthetic_corpus
+from wordhom.clustering import markov_clusters
 from wordhom.exports import (
     read_filtration_tsv,
     write_barcode_tsv,
@@ -115,6 +119,21 @@ def render_sweep(name: str) -> str:
     return buf.getvalue()
 
 
+def render_mcl_points() -> str:
+    """One row per MCL point on ``synthetic_corpus(n_words=500, seed=1)``:
+    the grid at the default ``max_iter``, then at ``max_iter=3``."""
+    graph = synthetic_corpus(n_words=500, seed=1).to_weighted_graph()
+    lines = ["# corpus=synthetic-500-seed-1\n", "max_iter\tinflation\tn_iter\tconverged\tn_clusters\tlabels\n"]
+    for max_iter in (200, 3):
+        for inflation in MCL_GRID:
+            r = markov_clusters(graph, inflation, max_iter=max_iter)
+            labels = ",".join(map(str, r.clustering.labels))
+            lines.append(
+                f"{max_iter}\t{inflation!r}\t{r.n_iter}\t{int(r.converged)}\t{r.clustering.n_clusters}\t{labels}\n"
+            )
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("p", FIELDS)
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_exports_match_recorded_bytes(name, p):
@@ -135,6 +154,11 @@ def test_filtrations_match_recorded_bytes(name):
     assert render_filtration(name) == expected, f"{name} filtration TSV differs from the recorded one"
 
 
+def test_mcl_points_match_recorded_bytes():
+    expected = (DATA / "mcl-points-corpus500.tsv").read_text(encoding="utf-8")
+    assert render_mcl_points() == expected, "MCL points on the 500-word corpus differ from the recorded ones"
+
+
 if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     for name in sorted(FIXTURES):
@@ -145,3 +169,4 @@ if __name__ == "__main__":
         (DATA / f"sweep-{name}.tsv").write_text(render_sweep(name), encoding="utf-8", newline="\n")
     for name in sorted(FILTRATIONS):
         (DATA / f"filtration-{name}.tsv").write_text(render_filtration(name), encoding="utf-8", newline="\n")
+    (DATA / "mcl-points-corpus500.tsv").write_text(render_mcl_points(), encoding="utf-8", newline="\n")
