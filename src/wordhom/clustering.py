@@ -203,23 +203,20 @@ class MarkovResult(NamedTuple):
     n_iter: int
 
 
-def _check_mcl(
-    inflation: float,
-    expansion: int = 2,
-    prune: float = 0.0,
-    max_iter: int = 1,
-    tol: float = 0.0,
-    self_loop: float = 0.0,
-) -> None:
-    """Reject Markov flow parameters the iteration cannot honour. An
-    omitted parameter takes a value that passes, so a sweep can check
-    each grid point with only the parameters it was given."""
-    from numbers import Integral
-
+def _check_inflation(inflation: float) -> None:
     if not inflation > 1:  # also rejects nan
         raise ValueError("inflation must be > 1")
     if math.isinf(inflation):
         raise ValueError("inflation must be finite")
+
+
+def _check_mcl(
+    inflation: float, expansion: int, prune: float, max_iter: int, tol: float, self_loop: float
+) -> None:
+    """Reject Markov flow parameters the iteration cannot honour."""
+    from numbers import Integral
+
+    _check_inflation(inflation)
     if expansion < 2:
         raise ValueError("expansion must be >= 2")
     if not isinstance(expansion, Integral):
@@ -461,8 +458,8 @@ def sweep(
         return SweepResult(method, tuple(_threshold_rows(graph, grid)))
     if method == "persistence":
         return SweepResult(method, tuple(_persistence_rows(graph, grid, **params)))
-    for inflation in grid:
-        _check_mcl(inflation, **params)
+    for inflation in grid:  # the first point's call checks the shared parameters
+        _check_inflation(inflation)
     tasks = [(graph, param, params) for param in grid]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -474,11 +471,3 @@ def sweep(
     unconverged = tuple(row.param for row, converged in points if not converged)
     return SweepResult(method, tuple(row for row, _ in points), unconverged)
 
-
-def __getattr__(name: str):
-    # the Markov flow kernels, under the names they had in this module
-    if name in ("_normalize_columns", "_rescale_prune_rescale"):
-        from . import markov
-
-        return getattr(markov, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -143,11 +143,8 @@ def flow(
             powered = _product(powered, m)
         powered.data = np.power(powered.data, inflation)
         m = _rescale_prune_rescale(powered, prune)
-        if np.array_equal(m.indptr, prev.indptr) and np.array_equal(m.indices, prev.indices):
-            delta = m.data - prev.data  # same support: the entries of m - prev, zeros kept
-        else:
-            delta = (m - prev).tocsc().data
-        change = float(np.abs(delta).max()) if delta.size else 0.0
+        delta = (m - prev).tocsc()
+        change = float(np.abs(delta.data).max()) if delta.nnz else 0.0
         if change < tol:
             converged = True
             break

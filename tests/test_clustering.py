@@ -178,7 +178,7 @@ def test_mcl_non_convergence_flag():
 def test_inflation_step_equals_normalize_route(n, seed, prune, inflation):
     np = pytest.importorskip("numpy")
     sparse = pytest.importorskip("scipy.sparse")
-    from wordhom.clustering import _normalize_columns, _rescale_prune_rescale
+    from wordhom.markov import _normalize_columns, _rescale_prune_rescale
 
     rng = np.random.default_rng(seed)
     a = sparse.random(n, n, density=0.5, random_state=rng, format="csc")
@@ -299,6 +299,9 @@ def test_product_equals_matmul(n, k, m, seed, density, empty_cols):
     # a chained square product, as an expansion=3 round takes it
     s = csc_with_unsorted_indices(np, sparse, rng, (n, n), density, empty_cols)
     assert same_arrays(_product(_product(s, s), s), ((s @ s).tocsc() @ s).tocsc())
+    # a diagonal right-hand side, as ``_normalize_columns`` scales by
+    d = sparse.diags(1.0 / rng.uniform(0.01, 10.0, k), format="csc")
+    assert same_arrays(_product(a, d), (a @ d).tocsc())
 
 
 def test_mcl_makes_no_symbolic_product_pass(monkeypatch):
