@@ -21,7 +21,7 @@ from .clustering import (
     modularity,
     sweep,
 )
-from .complexes import SimplexBudgetError, build_vr_filtration
+from .complexes import VERTEX_BIRTH_MODES, SimplexBudgetError, build_vr_filtration
 from .corpus import DataFormatError, parse_edge_list, parse_stimulus_counts
 from .exports import (
     read_barcode_tsv,
@@ -48,20 +48,12 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _open_out(path: str):
+    """Stdout for '-', else the file; :func:`_check_paths` has vetted its directory."""
     if path == "-":
         yield sys.stdout
     else:
-        parent = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(parent):
-            raise DataFormatError(None, f"output directory does not exist: {parent}")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
-
-
-def _open_in(path: str):
-    if not os.path.isfile(path):
-        raise DataFormatError(None, f"input file not found: {path}")
-    return open(path, "r", encoding="utf-8")
 
 
 def _check_paths(args, *out_attrs) -> None:
@@ -84,7 +76,7 @@ def _config(args, skip=("func",)) -> dict:
 
 
 def _load_corpus(args):
-    with _open_in(args.input) as fh:
+    with open(args.input, encoding="utf-8") as fh:
         if args.format == "stimulus":
             return parse_stimulus_counts(fh)
         return parse_edge_list(fh)
@@ -92,7 +84,7 @@ def _load_corpus(args):
 
 def _load_filtration(args):
     if args.format == "filtration":
-        with _open_in(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             return read_filtration_tsv(fh)
     corpus = _load_corpus(args)
     return build_vr_filtration(
@@ -114,7 +106,7 @@ def _add_complex_args(p):
     p.add_argument("--max-eps", type=float, default=1.0, help="largest dissimilarity scale")
     p.add_argument(
         "--vertex-birth",
-        choices=("zero", "first-edge"),
+        choices=VERTEX_BIRTH_MODES,
         default="zero",
         help="vertex birth convention",
     )
@@ -124,6 +116,14 @@ def _add_complex_args(p):
         default=DEFAULT_SIMPLEX_BUDGET,
         help="refuse expansions beyond this many simplices",
     )
+
+
+def _add_mcl_args(p):
+    p.add_argument("--expansion", type=int, default=2, help="mcl: matrix power")
+    p.add_argument("--prune", type=float, default=1e-5, help="mcl: drop entries below this")
+    p.add_argument("--max-iter", type=int, default=200, help="mcl: iteration cap")
+    p.add_argument("--tol", type=float, default=1e-8, help="mcl: convergence tolerance")
+    p.add_argument("--self-loop", type=float, default=1.0, help="mcl: self-loop weight")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,16 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.2, help="persistence method: lifetime cutoff")
     p.add_argument(
         "--vertex-birth",
-        choices=("zero", "first-edge"),
+        choices=VERTEX_BIRTH_MODES,
         default="first-edge",
         help="persistence method: vertex birth convention",
     )
     p.add_argument("--inflation", type=float, default=2.0, help="mcl: entrywise power")
-    p.add_argument("--expansion", type=int, default=2, help="mcl: matrix power")
-    p.add_argument("--prune", type=float, default=1e-5, help="mcl: drop entries below this")
-    p.add_argument("--max-iter", type=int, default=200, help="mcl: iteration cap")
-    p.add_argument("--tol", type=float, default=1e-8, help="mcl: convergence tolerance")
-    p.add_argument("--self-loop", type=float, default=1.0, help="mcl: self-loop weight")
+    _add_mcl_args(p)
     p.add_argument("--out", default="-", help="clustering TSV path")
     p.set_defaults(func=cmd_cluster)
 
@@ -191,15 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--vertex-birth",
-        choices=("zero", "first-edge"),
+        choices=VERTEX_BIRTH_MODES,
         default="first-edge",
         help="persistence method: vertex birth convention",
     )
-    p.add_argument("--expansion", type=int, default=2, help="mcl: matrix power")
-    p.add_argument("--prune", type=float, default=1e-5, help="mcl: drop entries below this")
-    p.add_argument("--max-iter", type=int, default=200, help="mcl: iteration cap")
-    p.add_argument("--tol", type=float, default=1e-8, help="mcl: convergence tolerance")
-    p.add_argument("--self-loop", type=float, default=1.0, help="mcl: self-loop weight")
+    _add_mcl_args(p)
     p.add_argument("--out", default="-", help="sweep TSV path")
     p.set_defaults(func=cmd_sweep)
 
@@ -322,7 +314,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_render(args) -> int:
     _check_paths(args, "out")
-    with _open_in(args.input) as fh:
+    with open(args.input, encoding="utf-8") as fh:
         barcode = read_barcode_tsv(fh)
     doc = render_barcode_svg(
         barcode,
@@ -344,10 +336,7 @@ def main(argv=None) -> int:
         return 0 if not exc.code else int(exc.code)
     try:
         return args.func(args)
-    except (DataFormatError, SimplexBudgetError) as exc:
-        print(f"wordhom: error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, SimplexBudgetError, OSError) as exc:  # DataFormatError is a ValueError
         print(f"wordhom: error: {exc}", file=sys.stderr)
         return 2
 

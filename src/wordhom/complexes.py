@@ -87,6 +87,11 @@ class WeightedGraph:
             object.__setattr__(self, "_pair_sorted", edges)
         return self._pair_sorted
 
+    def weight(self, i: int, j: int) -> float | None:
+        if i > j:
+            i, j = j, i
+        return self._w.get((i, j))
+
     def dissimilarity(self, i: int, j: int) -> float | None:
         if i > j:
             i, j = j, i
@@ -300,8 +305,10 @@ def build_vr_filtration(
     Raises :class:`SimplexBudgetError` when more than ``max_simplices``
     simplices would be produced.
     """
-    if max_dim < 0:
-        raise ValueError("max_dim must be >= 0")
+    from numbers import Integral
+
+    if not isinstance(max_dim, Integral) or isinstance(max_dim, bool) or max_dim < 0:
+        raise ValueError(f"max_dim must be an integer >= 0, got {max_dim!r}")
     if not 0.0 <= max_eps <= 1.0:
         raise ValueError("max_eps must lie in [0, 1]")
 

@@ -4,17 +4,18 @@ Two canonical TSV inputs are supported: raw stimulus/response counts
 (`stimulus<TAB>response<TAB>count<TAB>total`) and pre-aggregated edge
 lists (`word1<TAB>word2<TAB>strength`). Lines starting with ``#`` and
 blank lines are skipped; words are upper-cased and stripped. Both
-parsers validate their rows and hand (word, word, strength) triples to
-:meth:`AssociationCorpus.from_pairs`, the one place word ids are
-assigned. :meth:`AssociationCorpus.to_weighted_graph` gives the
-:class:`~wordhom.complexes.WeightedGraph` that filtrations and
-clustering both take.
+parsers validate their rows, naming the line of a bad one, and hand
+(word, word, strength) triples to :meth:`AssociationCorpus.from_pairs`,
+the one place word ids are assigned. A corpus holds its words and one
+:class:`~wordhom.complexes.WeightedGraph`, which checks and stores the
+strengths; :meth:`AssociationCorpus.to_weighted_graph` returns that
+graph, the one filtrations and clustering both take.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, TextIO
+from typing import Iterable, Mapping, TextIO
 
 from .complexes import WeightedGraph
 
@@ -34,25 +35,23 @@ class AssociationCorpus:
 
     Vertex ids are dense ints assigned in order of first appearance;
     the word<->id mapping lives here so the algebraic layers can stay
-    free of strings. Corpus equality is by words and word-pair
-    strengths, independent of id assignment.
+    free of strings. The strengths live in the corpus's
+    :class:`~wordhom.complexes.WeightedGraph`, which rejects a pair out
+    of range or a strength outside (0, 1] and keeps the pairs in the
+    order given. Corpus equality is by words and word-pair strengths,
+    independent of id assignment.
     """
 
-    __slots__ = ("_words", "_index", "_strengths")
+    __slots__ = ("_words", "_index", "_graph")
 
-    def __init__(self, words: Iterable[str], strengths: dict[tuple[int, int], float]):
+    def __init__(self, words: Iterable[str], strengths: Mapping[tuple[int, int], float]):
         words = tuple(words)
         index = {w: i for i, w in enumerate(words)}
         if len(index) != len(words):
             raise ValueError("duplicate words in corpus")
-        for (i, j), s in strengths.items():
-            if not (0 <= i < j < len(words)):
-                raise ValueError(f"strength pair ({i}, {j}) out of range")
-            if not 0.0 < s <= 1.0:
-                raise ValueError(f"strength {s} outside (0, 1]")
         object.__setattr__(self, "_words", words)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_strengths", dict(strengths))
+        object.__setattr__(self, "_graph", WeightedGraph(len(words), strengths))
 
     def __setattr__(self, name, value):
         raise AttributeError("AssociationCorpus is immutable")
@@ -86,7 +85,7 @@ class AssociationCorpus:
 
     @property
     def n_associations(self) -> int:
-        return len(self._strengths)
+        return self._graph.n_edges
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -99,37 +98,33 @@ class AssociationCorpus:
         return self._index[w.strip().upper()]
 
     def strength(self, a: str, b: str) -> float | None:
-        ia, ib = self.word_id(a), self.word_id(b)
-        if ia > ib:
-            ia, ib = ib, ia
-        return self._strengths.get((ia, ib))
+        return self._graph.weight(self.word_id(a), self.word_id(b))
 
     def items(self) -> list[tuple[int, int, float]]:
-        return [(i, j, s) for (i, j), s in sorted(self._strengths.items())]
+        return self._graph.edges()
 
     def to_weighted_graph(self) -> WeightedGraph:
-        """The association graph: strengths w, dissimilarities 1 - w;
-        absent pairs stay absent."""
-        return WeightedGraph(self.n_words, self._strengths)
+        """The association graph the corpus holds: strengths w,
+        dissimilarities 1 - w; absent pairs stay absent. The same graph
+        is returned on every call, so its sorted edge lists are built once."""
+        return self._graph
 
     to_dissimilarity = to_weighted_graph  # one graph carries both views
 
     def write_edge_list(self, stream: TextIO) -> None:
-        for i, j, s in self.items():
+        for i, j, s in self._graph.pair_sorted_edges():
             stream.write(f"{self._words[i]}\t{self._words[j]}\t{s!r}\n")
+
+    def _word_strengths(self) -> dict[frozenset[str], float]:
+        return {
+            frozenset((self._words[i], self._words[j])): s
+            for i, j, s in self._graph.pair_sorted_edges()
+        }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AssociationCorpus):
             return False
-        mine = {
-            frozenset((self._words[i], self._words[j])): s
-            for (i, j), s in self._strengths.items()
-        }
-        theirs = {
-            frozenset((other._words[i], other._words[j])): s
-            for (i, j), s in other._strengths.items()
-        }
-        return set(self._words) == set(other._words) and mine == theirs
+        return set(self._words) == set(other._words) and self._word_strengths() == other._word_strengths()
 
     def __repr__(self) -> str:
         return f"AssociationCorpus({self.n_words} words, {self.n_associations} associations)"

@@ -1,13 +1,14 @@
 """Estimator-style wrappers over the functional core.
 
 These follow the fit/transform/predict idiom with get_params/set_params
-so the toolkit composes with pipeline and model-selection machinery;
-all the actual computation lives in the functional modules.
+so the toolkit composes with pipeline and model-selection machinery,
+without pulling in a dependency for it. All the computation, and every
+parameter check, lives in the functional modules: an estimator passes
+its parameters through unchanged, so a bad one fails there on fit.
 """
 
 from __future__ import annotations
 
-from .base import ParamsMixin, check_fitted, check_in_interval, check_positive_int
 from .clustering import (
     markov_clusters,
     modularity,
@@ -18,6 +19,47 @@ from .complexes import WeightedGraph, build_vr_filtration
 from .corpus import AssociationCorpus
 from .fields import PrimeField
 from .reduction import Barcode, reduce_filtration
+
+
+class ParamsMixin:
+    """get_params/set_params backed by the __init__ signature.
+
+    Subclasses keep every constructor argument as an attribute of the
+    same name and do no work in __init__, so params can be swapped and
+    the object refit.
+    """
+
+    @classmethod
+    def _param_names(cls) -> list[str]:
+        import inspect
+
+        sig = inspect.signature(cls.__init__)
+        return sorted(name for name in sig.parameters if name != "self")
+
+    def get_params(self, deep: bool = True) -> dict:
+        return {name: getattr(self, name) for name in self._param_names()}
+
+    def set_params(self, **params) -> "ParamsMixin":
+        valid = set(self._param_names())
+        for name, value in params.items():
+            if name not in valid:
+                raise ValueError(
+                    f"invalid parameter {name!r} for {type(self).__name__}; "
+                    f"valid parameters: {sorted(valid)}"
+                )
+            setattr(self, name, value)
+        return self
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
+        return f"{type(self).__name__}({args})"
+
+
+def check_fitted(estimator, attribute: str) -> None:
+    if not hasattr(estimator, attribute):
+        raise RuntimeError(
+            f"this {type(estimator).__name__} instance is not fitted yet; call fit() first"
+        )
 
 
 def _as_graph(x) -> WeightedGraph:
@@ -50,13 +92,8 @@ class VietorisRipsPersistence(ParamsMixin):
         self.vertex_birth = vertex_birth
         self.max_simplices = max_simplices
 
-    def _validate(self) -> PrimeField:
-        check_positive_int(self.max_dim, "max_dim", minimum=0)
-        check_in_interval(self.max_eps, "max_eps", 0.0, 1.0)
-        return PrimeField(self.field)
-
     def fit(self, X, y=None) -> "VietorisRipsPersistence":
-        field = self._validate()
+        field = PrimeField(self.field)
         graph = _as_graph(X)
         self.filtration_ = build_vr_filtration(
             graph,
@@ -70,7 +107,6 @@ class VietorisRipsPersistence(ParamsMixin):
         return self
 
     def transform(self, X) -> Barcode:
-        self._validate()
         return type(self)(**self.get_params()).fit(X).barcode_
 
     def fit_transform(self, X, y=None) -> Barcode:
@@ -108,7 +144,7 @@ class ThresholdClustering(_BaseClustering):
         self.eps = eps
 
     def _cluster(self, graph):
-        return threshold_clusters(graph, check_in_interval(self.eps, "eps", 0.0, 1.0))
+        return threshold_clusters(graph, self.eps)
 
 
 class PersistenceClustering(_BaseClustering):

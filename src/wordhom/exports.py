@@ -11,7 +11,7 @@ import math
 from typing import Mapping, TextIO
 
 from .clustering import Clustering, SweepResult
-from .corpus import AssociationCorpus, DataFormatError
+from .corpus import AssociationCorpus, DataFormatError, _data_lines
 from .reduction import Barcode, Interval, ReducedFiltration
 
 
@@ -49,10 +49,7 @@ def _sorted_intervals(barcode: Barcode, include_zero_length: bool) -> list[Inter
 
 def read_barcode_tsv(stream: TextIO) -> Barcode:
     intervals = []
-    for lineno, raw in enumerate(stream, 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in _data_lines(stream):
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataFormatError(lineno, f"expected 3 tab-separated fields, got {len(parts)}")
@@ -126,10 +123,7 @@ def read_filtration_tsv(stream: TextIO) -> "Filtration":
 
     entries = []
     first_line: dict[tuple[int, ...], int] = {}
-    for lineno, raw in enumerate(stream, 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in _data_lines(stream):
         parts = line.split("\t")
         if len(parts) != 2:
             raise DataFormatError(lineno, f"expected 2 tab-separated fields, got {len(parts)}")

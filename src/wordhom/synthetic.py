@@ -28,8 +28,13 @@ def synthetic_corpus(
     few denser in-group shortcuts; group base scales are staggered
     across [0.10, 0.40]. Bridges connect only early-scale groups at
     dissimilarity well above their base, so their merge lifetimes are
-    long. Deterministic for a fixed seed.
+    long. Deterministic for a fixed seed. Bridges need two early-scale
+    groups, so there must be at least three groups.
     """
+    if group_size < 1:
+        raise ValueError(f"group_size must be >= 1, got {group_size}")
+    if n_words < 3 * group_size:
+        raise ValueError(f"n_words must be at least 3 * group_size = {3 * group_size}, got {n_words}")
     if n_words % group_size:
         raise ValueError("n_words must be a multiple of group_size")
     rng = random.Random(seed)

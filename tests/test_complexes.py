@@ -145,6 +145,13 @@ def test_simplex_budget():
         build_vr_filtration(g, max_dim=3, max_eps=1.0, max_simplices=20)
 
 
+def test_max_dim_must_be_a_non_negative_integer():
+    g = WeightedGraph(3, {(0, 1): 0.5, (1, 2): 0.5})
+    for bad in (2.5, True, -1, None):
+        with pytest.raises(ValueError, match=f"max_dim must be an integer >= 0, got {bad!r}"):
+            build_vr_filtration(g, max_dim=bad)
+
+
 def test_validate_complex_reports_missing_faces():
     assert validate_complex({Simplex((0,)), Simplex((1,)), Simplex((0, 1))}) == []
     violations = validate_complex({Simplex((0, 1))})
@@ -211,6 +218,7 @@ def test_graph_dissimilarity_view():
     g = WeightedGraph(3, {(1, 2): 0.1, (0, 1): 0.7})
     assert g.dissimilarity(1, 0) == 1.0 - 0.7 == 0.30000000000000004
     assert g.dissimilarity(0, 2) is None
+    assert g.weight(1, 0) == 0.7 and g.weight(0, 2) is None
     assert g.sorted_dissimilarities() == [(1.0 - 0.7, 0, 1), (1.0 - 0.1, 1, 2)]
     assert g.dissimilarity_events() == (1.0 - 0.7, 1.0 - 0.1)
     assert g.adjacency() == {0: {1: 1.0 - 0.7}, 1: {0: 1.0 - 0.7, 2: 1.0 - 0.1}, 2: {1: 1.0 - 0.1}}

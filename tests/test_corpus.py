@@ -5,8 +5,10 @@ import pytest
 from wordhom import (
     AssociationCorpus,
     DataFormatError,
+    ThresholdClustering,
     parse_edge_list,
     parse_stimulus_counts,
+    synthetic_corpus,
 )
 
 
@@ -83,7 +85,7 @@ def test_ids_and_pair_order_follow_first_appearance():
         edges("C\tA\t0.25\nB\tD\t0.5\nA\tC\t0.75\nD\tA\t0.125\n"),
     ):
         assert corpus.words == ("C", "A", "B", "D")
-        assert list(corpus._strengths) == [(0, 1), (2, 3), (1, 3)]
+        assert list(corpus.to_weighted_graph()._w) == [(0, 1), (2, 3), (1, 3)]
         assert corpus.strength("A", "C") == 0.75
 
 
@@ -161,3 +163,34 @@ def test_empty_corpus_gives_empty_graph():
 def test_from_pairs_rejects_self():
     with pytest.raises(ValueError, match="self"):
         AssociationCorpus.from_pairs([("A", "a", 0.5)])
+
+
+def test_corpus_holds_one_graph():
+    corpus = edges("A\tB\t0.4\nB\tC\t0.9\nC\tD\t0.1\n")
+    g = corpus.to_weighted_graph()
+    assert g is corpus.to_weighted_graph() is corpus.to_dissimilarity()
+    order = g.merge_order()
+    est = ThresholdClustering(eps=0.7).fit(corpus)
+    est.score(corpus)
+    assert est.graph_ is g and corpus.to_weighted_graph().merge_order() is order
+
+
+def test_direct_corpus_rejects_bad_strengths():
+    for bad in ({(0, 2): 0.5}, {(1, 0): 0.5}, {(0, 0): 0.5}, {(0, 1): 0.0}, {(0, 1): 1.5}, {(0, 1): float("nan")}):
+        with pytest.raises(ValueError):
+            AssociationCorpus(["A", "B"], bad)
+    with pytest.raises(ValueError, match="duplicate"):
+        AssociationCorpus(["A", "A"], {})
+    strength = AssociationCorpus(["A", "B"], {(0, 1): 1}).strength("B", "A")
+    assert strength == 1.0 and type(strength) is float
+
+
+def test_synthetic_corpus_needs_three_groups():
+    for kwargs in ({"n_words": 20}, {"n_words": 40}, {"n_words": 0}, {"n_words": 10, "group_size": 5}):
+        with pytest.raises(ValueError, match="n_words must be at least 3 \\* group_size"):
+            synthetic_corpus(**kwargs)
+    for group_size in (0, -20):
+        with pytest.raises(ValueError, match="group_size must be >= 1"):
+            synthetic_corpus(n_words=60, group_size=group_size)
+    smallest = synthetic_corpus(n_words=60)
+    assert smallest.n_words == 60 and smallest == synthetic_corpus(n_words=60)

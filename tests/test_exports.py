@@ -100,3 +100,18 @@ def test_filtration_tsv_rejects_non_finite_birth():
     for bad in ("nan", "inf"):
         with pytest.raises(DataFormatError, match="line 2: birth must be finite"):
             read_filtration_tsv(io.StringIO(f"0.0\t0\n{bad}\t1\n"))
+
+
+def test_tsv_readers_accept_crlf_line_ends():
+    red = sample_reduction()
+    bc, filt = red.barcode(), red.filtration
+    buf = io.StringIO()
+    write_barcode_tsv(buf, bc, config={"field": 2})
+    crlf = buf.getvalue().replace("\n", "\r\n")
+    assert read_barcode_tsv(io.StringIO(crlf, newline="")) == bc
+    buf = io.StringIO()
+    filt.to_tsv(buf)
+    crlf = "# comment\r\n\r\n" + buf.getvalue().replace("\n", "\r\n")
+    assert read_filtration_tsv(io.StringIO(crlf, newline="")).entries == filt.entries
+    with pytest.raises(DataFormatError, match=r"line 2: malformed barcode row '1\\t0.5\\tx'$"):
+        read_barcode_tsv(io.StringIO("0\t0.0\tinf\r\n1\t0.5\tx\r\n", newline=""))
