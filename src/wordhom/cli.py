@@ -9,6 +9,7 @@ identical inputs always produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -239,7 +240,12 @@ def cmd_persist(args) -> int:
 def cmd_betti(args) -> int:
     _check_paths(args)
     field = PrimeField(args.field)
-    if not 0 <= args.at <= args.max_eps:
+    # a listed complex is whole, so --max-eps does not bound it; inf is
+    # refused because no bar, essential ones included, is alive there
+    if args.format == "filtration":
+        if not (math.isfinite(args.at) and args.at >= 0):
+            raise DataFormatError(None, f"--at {args.at} must be finite and >= 0")
+    elif not 0 <= args.at <= args.max_eps:
         raise DataFormatError(None, f"--at {args.at} outside the built range [0, {args.max_eps}]")
     barcode = reduce_filtration(_load_filtration(args), field).barcode()
     numbers = [barcode.alive_count(k, args.at) for k in range(args.max_dim + 1)]

@@ -29,10 +29,11 @@ def synthetic_corpus(
     across [0.10, 0.40]. Bridges connect only early-scale groups at
     dissimilarity well above their base, so their merge lifetimes are
     long. Deterministic for a fixed seed. Bridges need two early-scale
-    groups, so there must be at least three groups.
+    groups, so there must be at least three groups, and a word enters
+    the corpus only through a pair, so each group needs two words.
     """
-    if group_size < 1:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
+    if group_size < 2:
+        raise ValueError(f"group_size must be >= 2, got {group_size}")
     if n_words < 3 * group_size:
         raise ValueError(f"n_words must be at least 3 * group_size = {3 * group_size}, got {n_words}")
     if n_words % group_size:

@@ -11,6 +11,7 @@ import pytest
 import wordhom
 from wordhom import PrimeField, betti_at, build_vr_filtration, parse_edge_list
 from wordhom.cli import main
+from wordhom.exports import read_filtration_tsv
 
 EDGES = "CAT\tDOG\t0.4\nDOG\tEEL\t0.75\nCAT\tEEL\t0.7\nFOX\tGNU\t0.9\n"
 
@@ -168,6 +169,25 @@ def test_betti_rejects_scale_outside_built_range(edges_tsv, capsys):
         assert code == 2
         assert out == ""
         assert "outside the built range" in err
+
+
+def test_betti_on_filtration_accepts_any_finite_scale(tmp_path, capsys):
+    # --max-eps bounds only a VR build; a listed complex is whole
+    path = tmp_path / "complex.tsv"
+    path.write_text("0.0\t0\n0.0\t1\n0.0\t2\n1.5\t0,1\n1.5\t1,2\n2.0\t0,2\n")
+    with open(path) as fh:
+        filt = read_filtration_tsv(fh)
+    argv = ["betti", "--in", str(path), "--format", "filtration", "--at"]
+    for at, expected in (("1.7", "1 0 0 0"), ("2.0", "1 1 0 0")):
+        code, out, _ = run(argv + [at], capsys)
+        assert code == 0
+        assert out.strip() == expected
+        assert out.split() == [str(betti_at(filt, float(at), k, PrimeField(2))) for k in range(4)]
+    for at in ("inf", "nan", "-0.1"):
+        code, out, err = run(argv + [at], capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be finite and >= 0" in err
 
 
 def test_betti_on_filtration_missing_faces_is_data_error(tmp_path, capsys):
@@ -380,8 +400,8 @@ def test_output_headers_embed_configuration(edges_tsv, tmp_path, capsys):
 HEAVY_MODULES = ("numpy", "scipy", "xml.sax", "urllib", "ssl", "email", "socket", "dataclasses", "inspect")
 
 
-def heavy_modules_loaded_by(script: str) -> list[str]:
-    """Modules of HEAVY_MODULES (or below them) that running ``script``
+def heavy_modules_loaded_by(script: str, watched: tuple[str, ...] = HEAVY_MODULES) -> list[str]:
+    """Modules of ``watched`` (or below them) that running ``script``
     in a fresh interpreter newly loads."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(wordhom.__file__)))
     code = "\n".join(
@@ -389,7 +409,7 @@ def heavy_modules_loaded_by(script: str) -> list[str]:
             "import json, sys",
             "before = set(sys.modules)",
             script,
-            f"heavy = {HEAVY_MODULES!r}",
+            f"heavy = {watched!r}",
             "new = [m for m in set(sys.modules) - before if m in heavy or m.startswith(tuple(h + '.' for h in heavy))]",
             "print(json.dumps(sorted(new)))",
         ]
@@ -402,6 +422,38 @@ def heavy_modules_loaded_by(script: str) -> list[str]:
 
 def test_import_loads_no_heavy_modules():
     assert heavy_modules_loaded_by("import wordhom, wordhom.cli") == []
+
+
+PUBLIC_NAMES = [
+    "AssociationCorpus", "Barcode", "Chain", "Clustering", "CosetReducer", "DataFormatError", "Filtration",
+    "Interval", "MarkovClustering", "MarkovResult", "PersistenceClustering", "PrimeField", "ReducedFiltration",
+    "Simplex", "SimplexBudgetError", "SweepResult", "SweepRow", "ThresholdClustering", "UnionFind",
+    "VietorisRipsPersistence", "WeightedGraph", "betti_at", "betti_numbers", "betti_of_complex", "boundary_chain",
+    "boundary_simplex", "build_vr_filtration", "canonicalize", "chain_add", "chain_neg", "chain_scale",
+    "face_closure", "homology_basis", "markov_clusters", "modularity", "parse_edge_list", "parse_stimulus_counts",
+    "persistence_clusters", "rank_mod_p", "reduce_filtration", "render_barcode_svg", "sweep", "synthetic_corpus",
+    "threshold_clusters", "validate_complex", "zero_chain",
+]
+
+
+def test_import_loads_no_submodule():
+    assert heavy_modules_loaded_by("import wordhom", ("wordhom",)) == ["wordhom"]
+
+
+def test_public_names_are_their_modules_objects():
+    assert wordhom.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        obj = getattr(wordhom, name)
+        assert obj.__module__.startswith("wordhom.")
+        assert vars(sys.modules[obj.__module__])[name] is obj
+    with pytest.raises(AttributeError, match="module 'wordhom' has no attribute 'nope'"):
+        wordhom.nope
+    assert set(PUBLIC_NAMES) | {"__all__", "__version__"} <= set(dir(wordhom))
+
+
+def test_submodule_names_resolve_in_a_fresh_interpreter():
+    script = "import wordhom\nassert wordhom.clustering.sweep is wordhom.sweep"
+    assert "wordhom.clustering" in heavy_modules_loaded_by(script, ("wordhom",))
 
 
 def test_vr_commands_leave_numpy_unloaded(tmp_path):

@@ -10,6 +10,7 @@ from wordhom import (
     parse_stimulus_counts,
     synthetic_corpus,
 )
+from wordhom.synthetic import planted_labels
 
 
 def stim(text):
@@ -189,8 +190,15 @@ def test_synthetic_corpus_needs_three_groups():
     for kwargs in ({"n_words": 20}, {"n_words": 40}, {"n_words": 0}, {"n_words": 10, "group_size": 5}):
         with pytest.raises(ValueError, match="n_words must be at least 3 \\* group_size"):
             synthetic_corpus(**kwargs)
-    for group_size in (0, -20):
-        with pytest.raises(ValueError, match="group_size must be >= 1"):
+    for group_size in (1, 0, -20):
+        with pytest.raises(ValueError, match="group_size must be >= 2"):
             synthetic_corpus(n_words=60, group_size=group_size)
     smallest = synthetic_corpus(n_words=60)
     assert smallest.n_words == 60 and smallest == synthetic_corpus(n_words=60)
+
+
+def test_synthetic_corpus_names_every_planted_word():
+    for group_size in (2, 3, 5):
+        for n_words in (3 * group_size, 12 * group_size):
+            corpus = synthetic_corpus(n_words=n_words, group_size=group_size)
+            assert corpus.n_words == n_words == len(planted_labels(n_words, group_size))
