@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import cached_property
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TextIO
 
 from .simplices import Simplex
@@ -255,10 +256,10 @@ class Filtration:
     @cached_property
     def face_positions(self) -> tuple[tuple[int | None, ...], ...]:
         """Per simplex, the positions of its codimension-1 faces in
-        vertex-omission order (None for an absent face)."""
+        vertex-omission order, the reverse of ``combinations`` (None if absent)."""
         get = self._position.get
         return tuple(
-            tuple(get(vs[:j] + vs[j + 1 :]) for j in range(len(vs))) if len(vs) > 1 else ()
+            tuple(map(get, combinations(vs, len(vs) - 1)))[::-1] if len(vs) > 1 else ()
             for vs in self.vertices
         )
 

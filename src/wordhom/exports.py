@@ -35,19 +35,13 @@ def write_barcode_tsv(
     """Rows `k<TAB>birth<TAB>death`, death `inf` for essential classes,
     sorted by (k, birth, death); zero-length bars filtered by default."""
     write_header(stream, config)
-    for iv in _sorted_intervals(barcode, include_zero_length):
+    for iv in barcode.all_intervals(include_zero_length):
         stream.write(f"{iv.dim}\t{iv.birth!r}\t{_fmt_value(iv.death)}\n")
 
 
-def _sorted_intervals(barcode: Barcode, include_zero_length: bool) -> list[Interval]:
-    out = []
-    for k in barcode.dims:
-        out.extend(barcode.intervals(k, include_zero_length=include_zero_length))
-    out.sort(key=lambda iv: (iv.dim, iv.birth, iv.death))
-    return out
-
-
 def read_barcode_tsv(stream: TextIO) -> Barcode:
+    """Read `k<TAB>birth<TAB>death` rows back; a negative k, a birth not
+    finite and >= 0 or a death NaN or before it is a DataFormatError."""
     intervals = []
     for lineno, line in _data_lines(stream):
         parts = line.split("\t")
@@ -59,6 +53,12 @@ def read_barcode_tsv(stream: TextIO) -> Barcode:
             death = math.inf if parts[2] == "inf" else float(parts[2])
         except ValueError:
             raise DataFormatError(lineno, f"malformed barcode row {line!r}")
+        if k < 0:
+            raise DataFormatError(lineno, f"dimension must be >= 0, got {k}")
+        if not (math.isfinite(birth) and birth >= 0):
+            raise DataFormatError(lineno, f"birth must be finite and >= 0, got {parts[1]!r}")
+        if not death >= birth:
+            raise DataFormatError(lineno, f"death must be a number >= birth {birth!r}, got {parts[2]!r}")
         intervals.append(Interval(k, birth, death))
     return Barcode(intervals)
 
@@ -98,7 +98,7 @@ def write_cycles_tsv(
     term, grouped under a comment line naming the interval."""
     write_header(stream, config)
     barcode = reduced.barcode()
-    for iv in _sorted_intervals(barcode, include_zero_length):
+    for iv in barcode.all_intervals(include_zero_length):
         stream.write(f"# interval k={iv.dim} birth={iv.birth!r} death={_fmt_value(iv.death)}\n")
         cycle = reduced.representative(iv)
         for simplex, coeff in cycle.items():

@@ -105,9 +105,6 @@ class EchelonSpan:
         self._rows[c] = r * pow(int(r[c]), self.p - 2, self.p) % self.p
         return True
 
-    def contains(self, v: np.ndarray) -> bool:
-        return not self.residual(v).any()
-
     @property
     def dim(self) -> int:
         return len(self._rows)

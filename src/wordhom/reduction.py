@@ -9,9 +9,14 @@ would reduce to zero, so it is skipped ("clearing", Chen & Kerber 2011,
 "Persistent homology computation with a twist"); top-dimension simplices
 have empty coboundaries and cost nothing. The boundary and coboundary
 matrices have the same persistence pairing, so the barcode is that of
-the standard left-to-right boundary reduction. Columns are built from
-the filtration's face positions and the barcode from its births; no
-:class:`Simplex` is made until a cycle is asked for.
+the standard left-to-right boundary reduction. No :class:`Simplex` is
+made until a cycle is asked for.
+
+Over Z/2 a column is an ``int`` with bit r set when row r is nonzero,
+so adding a column is ``^``; over Z/p it is a dict from row to entry.
+A simplex's cofaces are collected as an ascending list of rows (ranks
+in their dimension, to keep bitsets narrow) whose first entry is the
+unreduced pivot; a column is built only when an addition needs it.
 
 Representative cycles need reduced boundary columns, which the
 cohomology pass does not produce. :meth:`ReducedFiltration.representative`
@@ -25,8 +30,9 @@ therefore those of the full left-to-right reduction.
 from __future__ import annotations
 
 import math
+import re
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .chains import Chain
 from .complexes import Filtration
@@ -122,53 +128,66 @@ class Barcode:
         return f"Barcode({counts})"
 
 
-def _sub_scaled(col: dict[int, int], other: dict[int, int], factor: int, p: int) -> dict[int, int]:
-    """col - factor * other, dropping zeros (col is consumed)."""
-    for r, v in other.items():
-        nv = (col.get(r, 0) - factor * v) % p
-        if nv:
-            col[r] = nv
-        else:
-            col.pop(r, None)
-    return col
+# A column is an int bitset over Z/2 and a row -> entry dict over Z/p; a
+# reduced column comes with the combination summing to it (empty if untracked).
+Column = int | dict[int, int]
+Reduced = tuple[Column, Column]
 
 
-def _boundary(faces: tuple[int, ...], p: int) -> dict[int, int]:
-    """Boundary column of a simplex: face position -> alternating sign."""
-    return {f: 1 if j % 2 == 0 else p - 1 for j, f in enumerate(faces)}
+def _column(rows: Iterable[int], ks: Iterable[int], p: int) -> Column:
+    """Entry (-1)**k on each row r, pairing rows with ks (unread over Z/2)."""
+    if p == 2:
+        return sum(map((1).__lshift__, rows))
+    return {r: 1 if k % 2 == 0 else p - 1 for r, k in zip(rows, ks)}
 
 
-# A reduced column with the combination of original columns that sums
-# to it (None when combinations are not tracked).
-Reduced = tuple[dict[int, int], dict[int, int] | None]
+def _first_row(col: Column) -> int:
+    """Pivot of a coboundary column: its smallest nonzero row."""
+    return (col & -col).bit_length() - 1 if isinstance(col, int) else min(col)
+
+
+def _last_row(col: Column) -> int:
+    """Pivot of a boundary column: its largest nonzero row."""
+    return col.bit_length() - 1 if isinstance(col, int) else max(col)
+
+
+def _entries(col: Column) -> dict[int, int]:
+    """Nonzero row -> entry."""
+    if isinstance(col, dict):
+        return col
+    return {m.start(): 1 for m in re.finditer("1", f"{col:b}"[::-1])}
 
 
 def _reduce_column(
-    col: dict[int, int],
-    pivot: Callable[[dict[int, int]], int],
-    owners: dict[int, Reduced],
+    col: Column,
+    pivot: Callable[[Column], int],
+    owner: Callable[[int], Reduced | None],
     field: PrimeField,
-    combo: dict[int, int] | None = None,
-) -> int | None:
-    """Subtract owned columns from col (in place) until its pivot row
-    has no owner; return that row, or None when col empties.
-
-    ``owners`` maps a pivot row to the reduced column that owns it;
-    ``combo``, when given, accumulates the same multiples of the
-    owners' combinations.
-    """
+    combo: Column,
+) -> tuple[int | None, Column, Column]:
+    """Add multiples of owned columns to col, and of their combinations
+    to combo, until col's pivot row has no owner (``owner`` gives the
+    reduced column owning a row, or None); return that row (None when
+    col empties), col and combo."""
     p = field.p
     while col:
         row = pivot(col)
-        owner = owners.get(row)
-        if owner is None:
-            return row
-        other, other_combo = owner
+        owned = owner(row)
+        if owned is None:
+            return row, col, combo
+        other, other_combo = owned
+        if p == 2:
+            col, combo = col ^ other, combo ^ other_combo
+            continue
         factor = col[row] * field.inv(other[row]) % p
-        _sub_scaled(col, other, factor, p)
-        if combo is not None:
-            _sub_scaled(combo, other_combo, factor, p)
-    return None
+        for acc, add in ((col, other), (combo, other_combo)):
+            for r, v in add.items():
+                nv = (acc.get(r, 0) - factor * v) % p
+                if nv:
+                    acc[r] = nv
+                else:
+                    acc.pop(r, None)
+    return None, col, combo
 
 
 class ReducedFiltration:
@@ -218,13 +237,12 @@ class ReducedFiltration:
         vertices, faces = self.filtration.vertices, self.filtration.face_positions
         essentials = [i for i in self.essentials if len(vertices[i]) == dim + 1]
         deaths = [j for _, j in self.pairs if len(vertices[j]) == dim + 1]
-        track = bool(essentials)
         owners: dict[int, Reduced] = {}
         columns: dict[int, Reduced] = {}
         for j in sorted(deaths + essentials):
-            col = _boundary(faces[j], self.field.p)
-            combo = {j: 1} if track else None
-            low = _reduce_column(col, max, owners, self.field, combo)
+            combo = _column((j,) if essentials else (), (0,), self.field.p)
+            col = _column(faces[j], range(dim + 1), self.field.p)
+            low, col, combo = _reduce_column(col, _last_row, owners.get, self.field, combo)
             if low is not None:
                 owners[low] = (col, combo)
             columns[j] = (col, combo)
@@ -250,7 +268,7 @@ class ReducedFiltration:
             terms = {i: 1}
         else:
             terms, _ = self._boundary_columns(interval.dim + 1)[j]
-        return Chain(interval.dim, {Simplex(vertices[r]): v for r, v in terms.items()})
+        return Chain(interval.dim, {Simplex(vertices[r]): v for r, v in _entries(terms).items()})
 
     def __repr__(self) -> str:
         return (
@@ -282,25 +300,38 @@ def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltr
     essentials: list[int] = []
     cleared: set[int] = set()
     for d in range(filtration.max_dim + 1):
-        coboundary: dict[int, dict[int, int]] = {}
-        for j in by_dim[d + 1]:
-            for i, sign in _boundary(faces[j], field.p).items():
+        cofaces: dict[int, list[int]] = {}
+        cells = by_dim[d + 1]  # row r of the coboundary matrix is cells[r]
+        for r, j in enumerate(cells):
+            for i in faces[j]:
                 if i not in cleared:
-                    coboundary.setdefault(i, {})[j] = sign
-        owners: dict[int, Reduced] = {}
-        deaths: set[int] = set()
+                    cofaces.setdefault(i, []).append(r)
+        owner_of: dict[int, int] = {}  # pivot row -> simplex whose column owns it
+        columns: dict[int, Reduced] = {}  # simplex -> column, once built
+        empty = _column((), (), field.p)
+
+        def column(i: int) -> Reduced:
+            if i not in columns:
+                rows = cofaces[i]
+                columns[i] = (_column(rows, (faces[cells[r]].index(i) for r in rows), field.p), empty)
+            return columns[i]
+
+        def owner(row: int) -> Reduced | None:
+            return column(owner_of[row]) if row in owner_of else None
+
         for i in reversed(by_dim[d]):
             if i in cleared:
                 continue
-            col = coboundary.get(i)
-            death = _reduce_column(col, min, owners, field) if col else None
-            if death is None:
+            row = cofaces[i][0] if i in cofaces else None
+            if row in owner_of:
+                row, col, _ = _reduce_column(column(i)[0], _first_row, owner, field, empty)
+                columns[i] = (col, empty)
+            if row is None:
                 essentials.append(i)
             else:
-                owners[death] = (col, None)
-                deaths.add(death)
-                pairs.append((i, death))
-        cleared = deaths
+                owner_of[row] = i
+                pairs.append((i, cells[row]))
+        cleared = {cells[r] for r in owner_of}
 
     pairs.sort(key=lambda pair: pair[1])
     essentials.sort()

@@ -372,6 +372,18 @@ def test_render_from_barcode_tsv(edges_tsv, tmp_path, capsys):
     assert text.startswith("<?xml") and text.rstrip().endswith("</svg>")
 
 
+@pytest.mark.parametrize(
+    "row", ["0\tnan\t1", "0\t0.5\tnan", "0\tinf\tinf", "0\t-0.5\t1", "-1\t0.0\t1", "1\t0.5\t0.25"]
+)
+def test_render_refuses_a_bad_barcode_row(row, tmp_path, capsys):
+    barcode = tmp_path / "barcode.tsv"
+    barcode.write_text(f"0\t0.0\tinf\n{row}\n")
+    code, out, err = run(["render", "--in", str(barcode)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("wordhom: error: line 2: ")
+
+
 def test_persist_simplex_budget_guard(edges_tsv, capsys):
     code, _, err = run(
         ["persist", "--in", edges_tsv, "--max-simplices", "3", "--out", "-"],

@@ -115,3 +115,20 @@ def test_tsv_readers_accept_crlf_line_ends():
     assert read_filtration_tsv(io.StringIO(crlf, newline="")).entries == filt.entries
     with pytest.raises(DataFormatError, match=r"line 2: malformed barcode row '1\\t0.5\\tx'$"):
         read_barcode_tsv(io.StringIO("0\t0.0\tinf\r\n1\t0.5\tx\r\n", newline=""))
+
+
+BAD_BARCODE_ROWS = {
+    "nan-birth": ("0\tnan\t1", "birth must be finite and >= 0, got 'nan'"),
+    "nan-death": ("0\t0.5\tnan", "death must be a number >= birth 0.5, got 'nan'"),
+    "inf-birth": ("0\tinf\tinf", "birth must be finite and >= 0, got 'inf'"),
+    "negative-birth": ("0\t-0.5\t1", r"birth must be finite and >= 0, got '-0.5'"),
+    "negative-dim": ("-1\t0.0\t1", "dimension must be >= 0, got -1"),
+    "death-before-birth": ("1\t0.5\t0.25", "death must be a number >= birth 0.5, got '0.25'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BARCODE_ROWS))
+def test_read_barcode_tsv_names_the_line_of_a_bad_row(case):
+    row, message = BAD_BARCODE_ROWS[case]
+    with pytest.raises(DataFormatError, match=f"^line 3: {message}$"):
+        read_barcode_tsv(io.StringIO(f"# field=2\n0\t0.0\tinf\n{row}\n"))

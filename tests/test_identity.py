@@ -11,9 +11,11 @@ written out again, written by the ``Simplex``-backed filtration that
 preceded the array-backed one; and the Markov flow points (iterations,
 convergence and labels) of the 500-word corpus the benchmark sweeps,
 written by the ``@`` expansion product that preceded the direct call
-of scipy's numeric product kernel. Any change to the filtrations, the
-reduction or the clustering must reproduce them byte for byte. To
-rewrite them after a deliberate change of output, run
+of scipy's numeric product kernel; and the pair and essential indices
+of a denser n=30 VR graph over Z/2 and Z/3, written by the dict-column
+reduction that preceded the Z/2 bitset columns. Any change to the
+filtrations, the reduction or the clustering must reproduce them byte
+for byte. To rewrite them after a deliberate change of output, run
 ``python tests/test_identity.py``.
 """
 
@@ -43,6 +45,11 @@ def vr12_filtration(vertex_birth="zero"):
     return build_vr_filtration(g, max_dim=3, max_eps=1.0, vertex_birth=vertex_birth)
 
 
+def vr30_filtration():
+    g = random_dissimilarity_graph(random.Random(30), n_min=30, n_max=30, p_edge=0.5)
+    return build_vr_filtration(g, max_dim=3, max_eps=1.0)
+
+
 FIXTURES = {
     "shell_arm": lambda: Filtration.from_complex(shell_arm_complex()),
     "circle": circle_filtration,
@@ -62,6 +69,16 @@ def render(name: str, p: int) -> dict[str, str]:
     write_cycles_tsv(buf, reduced, config=config, include_zero_length=True)
     out["cycles"] = buf.getvalue()
     return out
+
+
+def render_indices(p: int) -> str:
+    """The vr30 reduction's pairs (birth and death positions, by death)
+    and essential positions; ``-`` stands for no death."""
+    reduced = reduce_filtration(vr30_filtration(), PrimeField(p))
+    rows = [f"# fixture=vr30 field={p}\n", "birth\tdeath\n"]
+    rows += (f"{i}\t{j}\n" for i, j in reduced.pairs)
+    rows += (f"{i}\t-\n" for i in reduced.essentials)
+    return "".join(rows)
 
 
 def shuffled_filtration():
@@ -142,6 +159,12 @@ def test_exports_match_recorded_bytes(name, p):
         assert text == expected, f"{name} over Z/{p}: {kind} TSV differs from the recorded one"
 
 
+@pytest.mark.parametrize("p", FIELDS)
+def test_pair_indices_match_recorded(p):
+    expected = (DATA / f"vr30-p{p}.indices.tsv").read_text(encoding="utf-8")
+    assert render_indices(p) == expected, f"vr30 over Z/{p}: pairs or essentials differ from the recorded ones"
+
+
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweeps_match_recorded_bytes(name):
     expected = (DATA / f"sweep-{name}.tsv").read_text(encoding="utf-8")
@@ -165,6 +188,8 @@ if __name__ == "__main__":
         for p in FIELDS:
             for kind, text in render(name, p).items():
                 (DATA / f"{name}-p{p}.{kind}.tsv").write_text(text, encoding="utf-8", newline="\n")
+    for p in FIELDS:
+        (DATA / f"vr30-p{p}.indices.tsv").write_text(render_indices(p), encoding="utf-8", newline="\n")
     for name in sorted(SWEEPS):
         (DATA / f"sweep-{name}.tsv").write_text(render_sweep(name), encoding="utf-8", newline="\n")
     for name in sorted(FILTRATIONS):
