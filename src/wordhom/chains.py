@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .fields import PrimeField
@@ -61,9 +62,6 @@ class Chain:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, s: Simplex) -> int:
-        return self._terms.get(s, 0)
-
     def items(self) -> list[tuple[Simplex, int]]:
         """Terms sorted by simplex, for deterministic iteration/export."""
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
@@ -99,14 +97,7 @@ def chain_add(c1: Chain, c2: Chain, field: PrimeField) -> Chain:
     """Termwise field addition; zero results are dropped."""
     if c1.dim != c2.dim:
         raise ValueError(f"cannot add chains of dimensions {c1.dim} and {c2.dim}")
-    out = dict(c1._terms)
-    for s, a in c2._terms.items():
-        v = (out.get(s, 0) + a) % field.p
-        if v:
-            out[s] = v
-        else:
-            out.pop(s, None)
-    return Chain(c1.dim, out)
+    return Chain.from_items(chain(c1._terms.items(), c2._terms.items()), field, c1.dim)
 
 
 def chain_scale(a: int, c: Chain, field: PrimeField) -> Chain:
@@ -128,25 +119,16 @@ def boundary_simplex(s: Simplex, field: PrimeField) -> Chain:
 
     The boundary of a 0-simplex is the empty chain.
     """
-    if s.dim == 0:
-        return Chain(-1)
-    terms = {}
-    for j, face in enumerate(s.faces()):
-        terms[face] = 1 if j % 2 == 0 else field.p - 1
-    return Chain(s.dim - 1, terms)
+    return boundary_chain(Chain(s.dim, {s: 1}), field)
 
 
 def boundary_chain(c: Chain, field: PrimeField) -> Chain:
     """Linear extension of the simplex boundary to whole chains."""
     if c.dim <= 0:
         return Chain(-1)
-    acc: dict[Simplex, int] = {}
-    for s, a in c._terms.items():
-        for j, face in enumerate(s.faces()):
-            sign = a if j % 2 == 0 else field.p - a
-            v = (acc.get(face, 0) + sign) % field.p
-            if v:
-                acc[face] = v
-            else:
-                acc.pop(face, None)
-    return Chain(c.dim - 1, acc)
+    terms = (
+        (face, a if j % 2 == 0 else field.p - a)
+        for s, a in c._terms.items()
+        for j, face in enumerate(s.faces())
+    )
+    return Chain.from_items(terms, field, c.dim - 1)

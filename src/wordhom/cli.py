@@ -119,7 +119,21 @@ def _add_complex_args(p):
     )
 
 
-def _add_mcl_args(p):
+def _add_homology_args(p):
+    _add_input_args(p, formats=("edges", "stimulus", "filtration"))
+    _add_complex_args(p)
+    p.add_argument("--field", type=int, default=2, help="prime coefficient field")
+
+
+def _add_clustering_args(p):
+    _add_input_args(p)
+    p.add_argument("--method", choices=SWEEP_METHODS, required=True)
+    p.add_argument(
+        "--vertex-birth",
+        choices=VERTEX_BIRTH_MODES,
+        default="first-edge",
+        help="persistence method: vertex birth convention",
+    )
     p.add_argument("--expansion", type=int, default=2, help="mcl: matrix power")
     p.add_argument("--prune", type=float, default=1e-5, help="mcl: drop entries below this")
     p.add_argument("--max-iter", type=int, default=200, help="mcl: iteration cap")
@@ -139,9 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_filtrate)
 
     p = sub.add_parser("persist", help="compute persistence barcodes")
-    _add_input_args(p, formats=("edges", "stimulus", "filtration"))
-    _add_complex_args(p)
-    p.add_argument("--field", type=int, default=2, help="prime coefficient field")
+    _add_homology_args(p)
     p.add_argument("--out", default="-", help="barcode TSV path")
     p.add_argument("--svg", default=None, help="also render the barcode to this SVG path")
     p.add_argument("--cycles", default=None, help="also export representative cycles to this TSV path")
@@ -149,31 +161,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_persist)
 
     p = sub.add_parser("betti", help="print Betti numbers at a fixed scale")
-    _add_input_args(p, formats=("edges", "stimulus", "filtration"))
-    _add_complex_args(p)
-    p.add_argument("--field", type=int, default=2, help="prime coefficient field")
+    _add_homology_args(p)
     p.add_argument("--at", type=float, required=True, help="scale at which to evaluate")
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("cluster", help="cluster the corpus and print modularity")
-    _add_input_args(p)
-    p.add_argument("--method", choices=SWEEP_METHODS, required=True)
+    _add_clustering_args(p)
     p.add_argument("--eps", type=float, default=0.5, help="threshold method: dissimilarity cutoff")
     p.add_argument("--tau", type=float, default=0.2, help="persistence method: lifetime cutoff")
-    p.add_argument(
-        "--vertex-birth",
-        choices=VERTEX_BIRTH_MODES,
-        default="first-edge",
-        help="persistence method: vertex birth convention",
-    )
     p.add_argument("--inflation", type=float, default=2.0, help="mcl: entrywise power")
-    _add_mcl_args(p)
     p.add_argument("--out", default="-", help="clustering TSV path")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("sweep", help="score one method over a parameter grid")
-    _add_input_args(p)
-    p.add_argument("--method", choices=SWEEP_METHODS, required=True)
+    _add_clustering_args(p)
     p.add_argument(
         "--grid",
         default=None,
@@ -186,13 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="mcl: worker processes for grid points (threshold and persistence "
         "sweeps run in one process, in one pass)",
     )
-    p.add_argument(
-        "--vertex-birth",
-        choices=VERTEX_BIRTH_MODES,
-        default="first-edge",
-        help="persistence method: vertex birth convention",
-    )
-    _add_mcl_args(p)
     p.add_argument("--out", default="-", help="sweep TSV path")
     p.set_defaults(func=cmd_sweep)
 

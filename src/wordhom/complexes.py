@@ -77,12 +77,8 @@ class WeightedGraph:
     def n_edges(self) -> int:
         return len(self._w)
 
-    def edges(self) -> list[tuple[int, int, float]]:
-        """Edges as (i, j, w), sorted by vertex pair."""
-        return list(self.pair_sorted_edges())
-
     def pair_sorted_edges(self) -> tuple[tuple[int, int, float], ...]:
-        """The edges of :meth:`edges` as the graph's own cached tuple."""
+        """Edges as (i, j, w), sorted by vertex pair: the graph's own cached tuple."""
         if self._pair_sorted is None:
             edges = tuple((i, j, w) for (i, j), w in sorted(self._w.items()))
             object.__setattr__(self, "_pair_sorted", edges)
@@ -98,12 +94,8 @@ class WeightedGraph:
             i, j = j, i
         return self._d.get((i, j))
 
-    def sorted_dissimilarities(self) -> list[tuple[float, int, int]]:
-        """Edges as (d, i, j) in increasing dissimilarity: the merge order."""
-        return list(self.merge_order())
-
     def merge_order(self) -> tuple[tuple[float, int, int], ...]:
-        """The edges of :meth:`sorted_dissimilarities` as the graph's own cached tuple."""
+        """Edges as (d, i, j) in increasing dissimilarity: the graph's own cached tuple."""
         if self._merge_order is None:
             order = tuple(sorted((d, i, j) for (i, j), d in self._d.items()))
             object.__setattr__(self, "_merge_order", order)
@@ -268,17 +260,19 @@ class Filtration:
 
         A face placed after its simplex is born after it: the order puts
         a face born with its simplex first."""
-        problems = []
+        return [problem for _, problem in self._violations()]
+
+    def _violations(self) -> Iterator[tuple[int, str]]:
+        """Each violation of :meth:`validate` with the position of its simplex."""
         for i, faces in enumerate(self.face_positions):
             for j, f in enumerate(faces):
                 if f is None or f > i:
                     vs = self.vertices[i]
                     s, face = Simplex(vs), Simplex(vs[:j] + vs[j + 1 :])
                     if f is None:
-                        problems.append(f"{s!r} present without its face {face!r}")
+                        yield i, f"{s!r} present without its face {face!r}"
                     else:
-                        problems.append(f"face {face!r} born at {self.births[f]} after {s!r} at {self.births[i]}")
-        return problems
+                        yield i, f"face {face!r} born at {self.births[f]} after {s!r} at {self.births[i]}"
 
     def to_tsv(self, stream: TextIO) -> None:
         for vs, b in zip(self.vertices, self.births):

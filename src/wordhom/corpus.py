@@ -100,9 +100,6 @@ class AssociationCorpus:
     def strength(self, a: str, b: str) -> float | None:
         return self._graph.weight(self.word_id(a), self.word_id(b))
 
-    def items(self) -> list[tuple[int, int, float]]:
-        return self._graph.edges()
-
     def to_weighted_graph(self) -> WeightedGraph:
         """The association graph the corpus holds: strengths w,
         dissimilarities 1 - w; absent pairs stay absent. The same graph
@@ -130,12 +127,17 @@ class AssociationCorpus:
         return f"AssociationCorpus({self.n_words} words, {self.n_associations} associations)"
 
 
-def _data_lines(stream: TextIO):
+def _data_lines(stream: TextIO, n_fields: int):
+    """(line number, line, fields) of each row that is not blank or ``#``;
+    a row without ``n_fields`` tab-separated fields is a DataFormatError."""
     for lineno, raw in enumerate(stream, 1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        yield lineno, line
+        parts = line.split("\t")
+        if len(parts) != n_fields:
+            raise DataFormatError(lineno, f"expected {n_fields} tab-separated fields, got {len(parts)}")
+        yield lineno, line, parts
 
 
 def parse_stimulus_counts(stream: TextIO) -> AssociationCorpus:
@@ -147,10 +149,7 @@ def parse_stimulus_counts(stream: TextIO) -> AssociationCorpus:
     word with itself are ignored.
     """
     directed: dict[tuple[str, str], float] = {}
-    for lineno, line in _data_lines(stream):
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise DataFormatError(lineno, f"expected 4 tab-separated fields, got {len(parts)}")
+    for lineno, _, parts in _data_lines(stream, 4):
         stimulus = parts[0].strip().upper()
         response = parts[1].strip().upper()
         if not stimulus or not response:
@@ -180,10 +179,7 @@ def parse_edge_list(stream: TextIO) -> AssociationCorpus:
     association); strengths outside [0, 1] and self-pairs are errors.
     """
     pairs: list[tuple[str, str, float]] = []
-    for lineno, line in _data_lines(stream):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataFormatError(lineno, f"expected 3 tab-separated fields, got {len(parts)}")
+    for lineno, _, parts in _data_lines(stream, 3):
         a = parts[0].strip().upper()
         b = parts[1].strip().upper()
         if not a or not b:

@@ -3,8 +3,9 @@
 These follow the fit/transform/predict idiom with get_params/set_params
 so the toolkit composes with pipeline and model-selection machinery,
 without pulling in a dependency for it. All the computation, and every
-parameter check, lives in the functional modules: an estimator passes
-its parameters through unchanged, so a bad one fails there on fit.
+parameter check, lives in the functional modules: an estimator forwards
+its parameters by name to the function it wraps, so a bad one fails
+there on fit.
 """
 
 from __future__ import annotations
@@ -93,15 +94,9 @@ class VietorisRipsPersistence(ParamsMixin):
         self.max_simplices = max_simplices
 
     def fit(self, X, y=None) -> "VietorisRipsPersistence":
-        field = PrimeField(self.field)
-        graph = _as_graph(X)
-        self.filtration_ = build_vr_filtration(
-            graph,
-            max_dim=self.max_dim,
-            max_eps=self.max_eps,
-            vertex_birth=self.vertex_birth,
-            max_simplices=self.max_simplices,
-        )
+        params = self.get_params()
+        field = PrimeField(params.pop("field"))
+        self.filtration_ = build_vr_filtration(_as_graph(X), **params)
         self.reduction_ = reduce_filtration(self.filtration_, field)
         self.barcode_ = self.reduction_.barcode()
         return self
@@ -114,10 +109,10 @@ class VietorisRipsPersistence(ParamsMixin):
 
 
 class _BaseClustering(ParamsMixin):
-    """Shared fit/predict/score plumbing for the clusterers."""
+    """Shared fit/predict/score plumbing; ``_function`` gets the graph and the parameters by name."""
 
     def _cluster(self, graph: WeightedGraph):
-        raise NotImplementedError
+        return self._function(graph, **self.get_params())
 
     def fit(self, X, y=None):
         graph = _as_graph(X)
@@ -140,26 +135,26 @@ class _BaseClustering(ParamsMixin):
 class ThresholdClustering(_BaseClustering):
     """Connected components below a dissimilarity threshold."""
 
+    _function = staticmethod(threshold_clusters)
+
     def __init__(self, eps: float = 0.5):
         self.eps = eps
-
-    def _cluster(self, graph):
-        return threshold_clusters(graph, self.eps)
 
 
 class PersistenceClustering(_BaseClustering):
     """Single-linkage merging gated by component lifetime."""
 
+    _function = staticmethod(persistence_clusters)
+
     def __init__(self, tau: float = 0.2, vertex_birth: str = "first-edge"):
         self.tau = tau
         self.vertex_birth = vertex_birth
 
-    def _cluster(self, graph):
-        return persistence_clusters(graph, self.tau, vertex_birth=self.vertex_birth)
-
 
 class MarkovClustering(_BaseClustering):
     """Flow-based clustering by alternating expansion and inflation."""
+
+    _function = staticmethod(markov_clusters)
 
     def __init__(
         self,
@@ -178,15 +173,7 @@ class MarkovClustering(_BaseClustering):
         self.self_loop = self_loop
 
     def _cluster(self, graph):
-        result = markov_clusters(
-            graph,
-            inflation=self.inflation,
-            expansion=self.expansion,
-            prune=self.prune,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            self_loop=self.self_loop,
-        )
+        result = super()._cluster(graph)
         self.converged_ = result.converged
         self.n_iter_ = result.n_iter
         return result.clustering

@@ -43,10 +43,7 @@ def read_barcode_tsv(stream: TextIO) -> Barcode:
     """Read `k<TAB>birth<TAB>death` rows back; a negative k, a birth not
     finite and >= 0 or a death NaN or before it is a DataFormatError."""
     intervals = []
-    for lineno, line in _data_lines(stream):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataFormatError(lineno, f"expected 3 tab-separated fields, got {len(parts)}")
+    for lineno, line, parts in _data_lines(stream, 3):
         try:
             k = int(parts[0])
             birth = float(parts[1])
@@ -115,32 +112,31 @@ def read_filtration_tsv(stream: TextIO) -> "Filtration":
     """Read `birth<TAB>v0,v1,...,vk` rows back into a filtration.
 
     Lets explicitly listed complexes (not necessarily clique-complete)
-    enter the persistence pipeline. A non-finite birth or a simplex
-    listed twice is a :class:`DataFormatError` naming its line.
+    enter the persistence pipeline. A birth not finite and >= 0, a
+    simplex listed twice, or one listed without a face or before a face
+    born later is a :class:`DataFormatError` naming the simplex's line.
     """
     from .complexes import Filtration
     from .simplices import Simplex
 
     entries = []
-    first_line: dict[tuple[int, ...], int] = {}
-    for lineno, line in _data_lines(stream):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataFormatError(lineno, f"expected 2 tab-separated fields, got {len(parts)}")
+    line_of: dict[tuple[int, ...], int] = {}
+    for lineno, _, parts in _data_lines(stream, 2):
         try:
             birth = float(parts[0])
             vertices = tuple(int(v) for v in parts[1].split(","))
             simplex = Simplex(vertices)
         except ValueError as exc:
             raise DataFormatError(lineno, str(exc))
-        if not math.isfinite(birth):
-            raise DataFormatError(lineno, f"birth must be finite, got {parts[0]!r}")
-        if vertices in first_line:
-            raise DataFormatError(
-                lineno, f"simplex {parts[1]} already listed on line {first_line[vertices]}"
-            )
-        first_line[vertices] = lineno
+        if not (math.isfinite(birth) and birth >= 0):
+            raise DataFormatError(lineno, f"birth must be finite and >= 0, got {parts[0]!r}")
+        if vertices in line_of:
+            raise DataFormatError(lineno, f"simplex {parts[1]} already listed on line {line_of[vertices]}")
+        line_of[vertices] = lineno
         entries.append((simplex, birth))
     max_dim = max((s.dim for s, _ in entries), default=0)
     max_eps = max((b for _, b in entries), default=0.0)
-    return Filtration(entries, max_dim, max_eps)
+    filtration = Filtration(entries, max_dim, max_eps)
+    for i, problem in filtration._violations():
+        raise DataFormatError(line_of[filtration.vertices[i]], problem)
+    return filtration

@@ -62,10 +62,6 @@ class Interval(NamedTuple):
     def is_zero_length(self) -> bool:
         return self.death == self.birth
 
-    @property
-    def length(self) -> float:
-        return self.death - self.birth
-
     def alive_at(self, eps: float) -> bool:
         return self.birth <= eps < self.death
 

@@ -7,6 +7,8 @@ Text is escaped by :func:`_escape`, the three replacements of
 
 from __future__ import annotations
 
+import math
+
 from .reduction import Barcode
 
 CANVAS_WIDTH = 960
@@ -38,9 +40,10 @@ def render_barcode_svg(
 ) -> str:
     """Draw one horizontal bar per interval, grouped by dimension.
 
-    The x-axis spans [0, axis_max] (defaulting to the largest finite
-    value in the barcode); infinite deaths run to the right margin and
-    end in an arrowhead. ``config`` key/value pairs are echoed in an
+    The x-axis spans [0, axis_max]; a given axis_max must be finite and
+    > 0, and the default is the largest finite value in the barcode (1
+    if that is 0). Infinite deaths run to the right margin and end in an
+    arrowhead. ``config`` key/value pairs are echoed in an
     XML comment after the declaration, mirroring the ``#`` headers of
     the TSV outputs. Output is deterministic for fixed input.
     """
@@ -51,9 +54,9 @@ def render_barcode_svg(
     groups = [(k, ivs) for k, ivs in groups if ivs]
 
     if axis_max is None:
-        axis_max = barcode.max_finite_value()
-    if axis_max <= 0:
-        axis_max = 1.0
+        axis_max = barcode.max_finite_value() or 1.0
+    elif not (math.isfinite(axis_max) and axis_max > 0):
+        raise ValueError(f"axis_max must be finite and > 0, got {axis_max!r}")
 
     n_bars = sum(len(ivs) for _, ivs in groups)
     height = (

@@ -384,6 +384,16 @@ def test_render_refuses_a_bad_barcode_row(row, tmp_path, capsys):
     assert err.startswith("wordhom: error: line 2: ")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_render_refuses_an_axis_max_not_finite_and_positive(value, tmp_path, capsys):
+    barcode = tmp_path / "barcode.tsv"
+    barcode.write_text("0\t0.0\tinf\n0\t0.0\t0.5\n")
+    code, out, err = run(["render", "--in", str(barcode), f"--axis-max={value}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("wordhom: error: axis_max must be finite and > 0")
+
+
 def test_persist_simplex_budget_guard(edges_tsv, capsys):
     code, _, err = run(
         ["persist", "--in", edges_tsv, "--max-simplices", "3", "--out", "-"],

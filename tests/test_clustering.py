@@ -43,7 +43,7 @@ def two_cliques(bridge=0.05):
 
 def test_threshold_extremes():
     g = random_weighted_graph(random.Random(0))
-    all_below_one = all(w < 1.0 for _, _, w in g.edges())
+    all_below_one = all(w < 1.0 for _, _, w in g.pair_sorted_edges())
     if all_below_one:
         assert threshold_clusters(g, 0.0).n_clusters == g.n
     # eps = 1 keeps every edge
@@ -51,7 +51,7 @@ def test_threshold_extremes():
     from wordhom import UnionFind
 
     uf = UnionFind(g.n)
-    for i, j, _ in g.edges():
+    for i, j, _ in g.pair_sorted_edges():
         uf.union(i, j)
     assert full.n_clusters == uf.n_components
 
@@ -497,13 +497,13 @@ def test_threshold_and_modularity_match_networkx():
         g = random_weighted_graph(rng)
         full = nx.Graph()
         full.add_nodes_from(range(g.n))
-        full.add_weighted_edges_from(g.edges())
+        full.add_weighted_edges_from(g.pair_sorted_edges())
         partitions = [Clustering([rng.randint(0, 3) for _ in range(g.n)])]
         for eps in (0.0, 0.3, 0.6, 1.0) + g.dissimilarity_events()[::3]:
             c = threshold_clusters(g, eps)
             kept = nx.Graph()
             kept.add_nodes_from(range(g.n))
-            kept.add_edges_from((i, j) for i, j, w in g.edges() if 1.0 - w <= eps)
+            kept.add_edges_from((i, j) for i, j, w in g.pair_sorted_edges() if 1.0 - w <= eps)
             groups = {frozenset(c.members(k)) for k in range(c.n_clusters)}
             assert groups == {frozenset(comp) for comp in nx.connected_components(kept)}
             partitions.append(c)

@@ -206,8 +206,8 @@ def test_graph_validation():
             WeightedGraph.from_dissimilarities(2, bad)
     with pytest.raises(ValueError, match=r"weight 0.0 of edge \(0, 1\) outside \(0, 1\]"):
         WeightedGraph(2, {(0, 1): 0.0})
-    assert WeightedGraph.from_dissimilarities(2, {(0, 1): 0.0}).edges() == [(0, 1, 1.0)]
-    assert WeightedGraph.from_dissimilarities(2, {(0, 1): 1.0}).edges() == [(0, 1, 0.0)]
+    assert WeightedGraph.from_dissimilarities(2, {(0, 1): 0.0}).pair_sorted_edges() == ((0, 1, 1.0),)
+    assert WeightedGraph.from_dissimilarities(2, {(0, 1): 1.0}).pair_sorted_edges() == ((0, 1, 0.0),)
     with pytest.raises(ValueError):
         WeightedGraph(-1, {})
     with pytest.raises(AttributeError, match="immutable"):
@@ -219,13 +219,13 @@ def test_graph_dissimilarity_view():
     assert g.dissimilarity(1, 0) == 1.0 - 0.7 == 0.30000000000000004
     assert g.dissimilarity(0, 2) is None
     assert g.weight(1, 0) == 0.7 and g.weight(0, 2) is None
-    assert g.sorted_dissimilarities() == [(1.0 - 0.7, 0, 1), (1.0 - 0.1, 1, 2)]
+    assert g.merge_order() == ((1.0 - 0.7, 0, 1), (1.0 - 0.1, 1, 2))
     assert g.dissimilarity_events() == (1.0 - 0.7, 1.0 - 0.1)
     assert g.adjacency() == {0: {1: 1.0 - 0.7}, 1: {0: 1.0 - 0.7, 2: 1.0 - 0.1}, 2: {1: 1.0 - 0.1}}
     # given dissimilarities are kept exactly, strengths derived from them
     h = WeightedGraph.from_dissimilarities(2, {(0, 1): 0.3})
     assert h.dissimilarity(0, 1) == 0.3
-    assert h.edges() == [(0, 1, 1.0 - 0.3)]
+    assert h.pair_sorted_edges() == ((0, 1, 1.0 - 0.3),)
     # equal strengths, different dissimilarities: different graphs
     assert WeightedGraph(2, {(0, 1): 1.0 - 0.3}) != h
 
@@ -235,14 +235,14 @@ def test_graph_pickle_round_trip():
         WeightedGraph(4, {(2, 3): 0.25, (0, 1): 0.7, (1, 2): 0.1}),
         WeightedGraph.from_dissimilarities(3, {(0, 1): 0.3, (0, 2): 1.0}),
     ):
-        g.edges()  # fills the pair-sorted cache, which is not pickled
-        g.sorted_dissimilarities()  # and the merge-order cache, likewise
+        g.pair_sorted_edges()  # fills the pair-sorted cache, which is not pickled
+        g.merge_order()  # and the merge-order cache, likewise
         assert g.__getstate__() == (g.n, g._w, g._d)
         clone = pickle.loads(pickle.dumps(g))
         assert clone._pair_sorted is None and clone._merge_order is None
         assert clone == g
-        assert clone.edges() == g.edges()
-        assert clone.sorted_dissimilarities() == g.sorted_dissimilarities()
+        assert clone.pair_sorted_edges() == g.pair_sorted_edges()
+        assert clone.merge_order() == g.merge_order()
         assert clone.degrees().tolist() == g.degrees().tolist()
         assert clone.total_weight() == g.total_weight()
         with pytest.raises(AttributeError):
@@ -264,19 +264,9 @@ def test_unknown_vertex_birth_mode_same_error_everywhere():
     assert len(messages) == 1
 
 
-def test_edges_are_a_fresh_pair_sorted_list():
+def test_edge_orders_are_cached_tuples():
     g = WeightedGraph(4, {(2, 3): 0.25, (0, 1): 0.7, (1, 2): 0.1})
-    first = g.edges()
-    assert first == [(0, 1, 0.7), (1, 2, 0.1), (2, 3, 0.25)]
-    first.clear()
-    assert g.edges() == [(0, 1, 0.7), (1, 2, 0.1), (2, 3, 0.25)]
-    assert g.edges() is not g.edges()
-    assert tuple(g.edges()) == g.pair_sorted_edges()
-    order = [(1.0 - 0.7, 0, 1), (1.0 - 0.25, 2, 3), (1.0 - 0.1, 1, 2)]
-    first = g.sorted_dissimilarities()
-    assert first == order
-    first.clear()
-    assert g.sorted_dissimilarities() == order
-    assert g.sorted_dissimilarities() is not g.sorted_dissimilarities()
-    assert tuple(g.sorted_dissimilarities()) == g.merge_order()
+    assert g.pair_sorted_edges() == ((0, 1, 0.7), (1, 2, 0.1), (2, 3, 0.25))
+    assert g.pair_sorted_edges() is g.pair_sorted_edges()
+    assert g.merge_order() == ((1.0 - 0.7, 0, 1), (1.0 - 0.25, 2, 3), (1.0 - 0.1, 1, 2))
     assert g.merge_order() is g.merge_order()

@@ -149,7 +149,7 @@ def test_to_weighted_graph_preserves_strengths():
     corpus = edges("A\tB\t0.4\nB\tC\t0.9\n")
     g = corpus.to_weighted_graph()
     assert g.n_edges == 2
-    assert dict(((i, j), w) for i, j, w in g.edges()) == {
+    assert dict(((i, j), w) for i, j, w in g.pair_sorted_edges()) == {
         (0, 1): 0.4,
         (1, 2): 0.9,
     }

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from wordhom import (
@@ -112,3 +114,22 @@ def test_estimator_rejects_bad_inputs(corpus):
         MarkovClustering(inflation=float("nan")).fit(corpus)
     with pytest.raises(TypeError):
         ThresholdClustering().fit([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "estimator, fn, dropped",
+    [
+        (VietorisRipsPersistence, build_vr_filtration, {"field"}),
+        (ThresholdClustering, threshold_clusters, set()),
+        (PersistenceClustering, persistence_clusters, set()),
+        (MarkovClustering, markov_clusters, set()),
+    ],
+)
+def test_estimator_parameters_match_the_function_they_forward_to(corpus, estimator, fn, dropped):
+    params = {k: v for k, v in estimator().get_params().items() if k not in dropped}
+    signature = inspect.signature(fn)
+    signature.bind(corpus.to_weighted_graph(), **params)
+    defaults = inspect.signature(estimator).parameters
+    for name, param in signature.parameters.items():
+        if param.default is not inspect.Parameter.empty:
+            assert defaults[name].default == param.default, name

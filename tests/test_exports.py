@@ -102,6 +102,26 @@ def test_filtration_tsv_rejects_non_finite_birth():
             read_filtration_tsv(io.StringIO(f"0.0\t0\n{bad}\t1\n"))
 
 
+BAD_FILTRATIONS = {
+    "negative-birth": ("0.0\t0\n-0.5\t1\n", r"line 2: birth must be finite and >= 0, got '-0.5'"),
+    "missing-face": (
+        "0.0\t0\n0.0\t1\n# comment\n0.5\t0,1,2\n",
+        r"line 4: Simplex\(\[0, 1, 2\]\) present without its face Simplex\(\[1, 2\]\)",
+    ),
+    "later-born-face": (
+        "0.0\t0\n0.1\t0,1\n0.3\t1\n",
+        r"line 2: face Simplex\(\[1\]\) born at 0.3 after Simplex\(\[0, 1\]\) at 0.1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILTRATIONS))
+def test_filtration_tsv_names_the_line_of_a_bad_simplex(case):
+    text, message = BAD_FILTRATIONS[case]
+    with pytest.raises(DataFormatError, match=f"^{message}$"):
+        read_filtration_tsv(io.StringIO(text))
+
+
 def test_tsv_readers_accept_crlf_line_ends():
     red = sample_reduction()
     bc, filt = red.barcode(), red.filtration

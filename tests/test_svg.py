@@ -2,6 +2,8 @@ import math
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
+import pytest
+
 from wordhom import Barcode, Interval, render_barcode_svg
 from wordhom.svg import _escape
 
@@ -37,6 +39,16 @@ def test_single_interval_bar_geometry():
     plot_w = 960 - 70 - 50
     assert abs(width - plot_w / 2) < 1.0
     assert abs(x - 70.0) < 1e-9
+
+
+def test_axis_max_must_be_finite_and_positive():
+    bc = Barcode([Interval(0, 0.0, 0.4)])
+    for bad in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="axis_max must be finite and > 0"):
+            render_barcode_svg(bc, axis_max=bad)
+    # the derived default still falls back to [0, 1] for an all-zero barcode
+    zero = Barcode([Interval(0, 0.0, 0.0)])
+    assert render_barcode_svg(zero, True) == render_barcode_svg(zero, True, axis_max=1.0)
 
 
 def test_infinite_bars_get_arrowheads(shell_arm):
