@@ -70,7 +70,9 @@ def _check_paths(args, *out_attrs) -> None:
             raise DataFormatError(None, f"output directory does not exist: {parent}")
 
 
-def _config(args, skip=("func",)) -> dict:
+def _config(args) -> dict:
+    # the effective arguments: a listed complex ignores the complex options
+    skip = ("func",) + (_COMPLEX_KEYS if getattr(args, "format", None) == "filtration" else ())
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
     cfg["version"] = __version__
     return cfg
@@ -100,6 +102,9 @@ def _load_filtration(args):
 def _add_input_args(p, formats=("edges", "stimulus")):
     p.add_argument("--in", dest="input", required=True, help="input TSV path")
     p.add_argument("--format", choices=formats, default="edges", help="input format")
+
+
+_COMPLEX_KEYS = ("max_dim", "max_eps", "vertex_birth", "max_simplices")  # the dests below
 
 
 def _add_complex_args(p):

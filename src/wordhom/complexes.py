@@ -16,7 +16,7 @@ import math
 from bisect import bisect_right
 from functools import cached_property
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .simplices import Simplex
 
@@ -178,36 +178,36 @@ def _checked_edges(n: int, values: Mapping[tuple[int, int], float], name: str, z
 
 
 class Filtration:
-    """Distinct simplices tagged with birth values, sorted by (birth, dim, vertices).
+    """Distinct simplices with finite births >= 0, sorted by (birth, dim, vertices).
 
     ``vertices`` and ``births`` are parallel tuples in that order;
     :attr:`entries` pairs them as ``(Simplex, birth)`` on first use.
     Every face of a simplex appears earlier with birth no larger than
-    the simplex's own; :func:`build_vr_filtration` guarantees this by
-    construction and :meth:`validate` re-checks it.
+    the simplex's own. The constructor checks this once, and nothing
+    downstream again; the VR build (sound by construction) and the TSV
+    reader (which names a bad row's line) use the unchecked :meth:`_set`.
     """
 
-    def __init__(self, entries: Iterable[tuple[Simplex, float]], max_dim: int, max_eps: float):
-        self._set([(float(b), len(s), s.vertices) for s, b in entries], max_dim, max_eps)
+    def __init__(self, entries: Iterable[tuple[Simplex, float]]):
+        self._set([(float(b), len(s), s.vertices) for s, b in entries])
+        problems = []
+        for i, (vs, b) in enumerate(zip(self.vertices, self.births)):
+            if self._position[vs] != i:
+                problems.append(f"{Simplex(vs)!r} appears more than once in the filtration")
+            if not (math.isfinite(b) and b >= 0):
+                problems.append(f"birth {b} of {Simplex(vs)!r} is not finite and >= 0")
+        problems += (problem for _, problem in self._violations())
+        if problems:
+            raise ValueError(f"filtration violates its invariants: {problems[:3]}")
 
-    def _set(self, rows: list[tuple[float, int, tuple[int, ...]]], max_dim: int, max_eps: float) -> None:
-        """Sort (birth, vertex count, vertices) rows and store them."""
+    def _set(self, rows: list[tuple[float, int, tuple[int, ...]]]) -> None:
+        """Sort (birth, vertex count, vertices) rows and store them unchecked."""
         rows.sort()
-        position: dict[tuple[int, ...], int] = {}
-        for b, size, vs in rows:
-            if vs in position:
-                raise ValueError(f"{Simplex(vs)!r} appears more than once in the filtration")
-            if b < 0:
-                raise ValueError(f"negative birth {b} for {Simplex(vs)!r}")
-            if size > max_dim + 1:
-                raise ValueError(f"{Simplex(vs)!r} exceeds max_dim={max_dim}")
-            position[vs] = len(position)
+        vertices = tuple(vs for _, _, vs in rows)
         vars(self).update(
-            vertices=tuple(vs for _, _, vs in rows),
+            vertices=vertices,
             births=tuple(b for b, _, _ in rows),
-            _position=position,
-            max_dim=max_dim,
-            max_eps=float(max_eps),
+            _position={vs: i for i, vs in enumerate(vertices)},
         )
 
     def __setattr__(self, name, value):
@@ -218,13 +218,11 @@ class Filtration:
         cls,
         simplices: Iterable[Simplex],
         birth: float | Mapping[Simplex, float] = 0.0,
-        max_eps: float = 1.0,
     ) -> "Filtration":
         """Wrap a fixed complex as a filtration (uniform birth by default)."""
         sims = set(simplices)
         births = birth if isinstance(birth, Mapping) else dict.fromkeys(sims, birth)
-        max_dim = max((s.dim for s in sims), default=0)
-        return cls([(s, births[s]) for s in sims], max_dim, max_eps)
+        return cls([(s, births[s]) for s in sims])
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -255,15 +253,10 @@ class Filtration:
             for vs in self.vertices
         )
 
-    def validate(self) -> list[str]:
-        """Closure and birth-monotonicity violations (empty when sound).
-
-        A face placed after its simplex is born after it: the order puts
-        a face born with its simplex first."""
-        return [problem for _, problem in self._violations()]
-
     def _violations(self) -> Iterator[tuple[int, str]]:
-        """Each violation of :meth:`validate` with the position of its simplex."""
+        """Each missing face, or face born after its simplex, with the
+        position of that simplex. A face placed after its simplex is
+        born after it: the order puts a face born with its simplex first."""
         for i, faces in enumerate(self.face_positions):
             for j, f in enumerate(faces):
                 if f is None or f > i:
@@ -274,12 +267,8 @@ class Filtration:
                     else:
                         yield i, f"face {face!r} born at {self.births[f]} after {s!r} at {self.births[i]}"
 
-    def to_tsv(self, stream: TextIO) -> None:
-        for vs, b in zip(self.vertices, self.births):
-            stream.write(f"{b!r}\t{','.join(map(str, vs))}\n")
-
     def __repr__(self) -> str:
-        return f"Filtration({len(self)} simplices, max_dim={self.max_dim}, max_eps={self.max_eps})"
+        return f"Filtration({len(self)} simplices)"
 
 
 def build_vr_filtration(
@@ -346,7 +335,7 @@ def build_vr_filtration(
             grow((v,), births[v], neighbors[v])
 
     filtration = Filtration.__new__(Filtration)
-    filtration._set(rows, max_dim, max_eps)
+    filtration._set(rows)
     return filtration
 
 

@@ -1,4 +1,4 @@
-"""TSV serialization for barcodes, clusterings, sweeps, and cycles.
+"""TSV serialization for barcodes, clusterings, sweeps, cycles and filtrations.
 
 Every writer emits a leading ``#`` header block carrying the effective
 configuration, so outputs are self-describing and reproducible runs
@@ -103,9 +103,11 @@ def write_cycles_tsv(
             stream.write(f"{iv.dim}\t{coeff}\t{verts}\n")
 
 
-def write_filtration_tsv(stream, filtration, config: Mapping[str, object] | None = None) -> None:
+def write_filtration_tsv(stream: TextIO, filtration, config: Mapping[str, object] | None = None) -> None:
+    """Rows `birth<TAB>v0,v1,...,vk` in filtration order."""
     write_header(stream, config)
-    filtration.to_tsv(stream)
+    for vs, b in zip(filtration.vertices, filtration.births):
+        stream.write(f"{b!r}\t{','.join(map(str, vs))}\n")
 
 
 def read_filtration_tsv(stream: TextIO) -> "Filtration":
@@ -119,13 +121,12 @@ def read_filtration_tsv(stream: TextIO) -> "Filtration":
     from .complexes import Filtration
     from .simplices import Simplex
 
-    entries = []
+    rows = []
     line_of: dict[tuple[int, ...], int] = {}
     for lineno, _, parts in _data_lines(stream, 2):
         try:
             birth = float(parts[0])
-            vertices = tuple(int(v) for v in parts[1].split(","))
-            simplex = Simplex(vertices)
+            vertices = Simplex(int(v) for v in parts[1].split(",")).vertices
         except ValueError as exc:
             raise DataFormatError(lineno, str(exc))
         if not (math.isfinite(birth) and birth >= 0):
@@ -133,10 +134,9 @@ def read_filtration_tsv(stream: TextIO) -> "Filtration":
         if vertices in line_of:
             raise DataFormatError(lineno, f"simplex {parts[1]} already listed on line {line_of[vertices]}")
         line_of[vertices] = lineno
-        entries.append((simplex, birth))
-    max_dim = max((s.dim for s, _ in entries), default=0)
-    max_eps = max((b for _, b in entries), default=0.0)
-    filtration = Filtration(entries, max_dim, max_eps)
+        rows.append((birth, len(vertices), vertices))
+    filtration = Filtration.__new__(Filtration)
+    filtration._set(rows)
     for i, problem in filtration._violations():
         raise DataFormatError(line_of[filtration.vertices[i]], problem)
     return filtration

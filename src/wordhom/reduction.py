@@ -70,13 +70,14 @@ class Interval(NamedTuple):
 
 
 class Barcode:
-    """Per-dimension collections of persistence intervals."""
+    """Per-dimension collections of persistence intervals, each with
+    dim >= 0, a finite birth >= 0 and a death >= it (``inf`` if essential)."""
 
     def __init__(self, intervals: Iterator[Interval] | list[Interval]):
         by_dim: dict[int, list[Interval]] = {}
         for iv in intervals:
-            if iv.death < iv.birth:
-                raise ValueError(f"interval with death before birth: {iv}")
+            if not (iv.dim >= 0 and 0 <= iv.birth < math.inf and iv.death >= iv.birth):
+                raise ValueError(f"interval needs dim >= 0, a finite birth >= 0 and a death >= it, got {iv}")
             by_dim.setdefault(iv.dim, []).append(iv)
         for group in by_dim.values():
             group.sort(key=Interval.sort_key)
@@ -282,20 +283,20 @@ def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltr
     coface. A column left nonempty pairs its simplex (birth) with the
     pivot (death) and clears the pivot's column in dimension d + 1; a
     column that empties is an essential class. Ties are broken by
-    filtration position, so at a merge the younger class dies.
+    filtration position, so at a merge the younger class dies. A
+    :class:`Filtration` is checked where it is made, so it is not
+    checked here.
     """
-    problems = filtration.validate()
-    if problems:
-        raise ValueError(f"filtration violates its invariants: {problems[:3]}")
     faces = filtration.face_positions
-    by_dim: list[list[int]] = [[] for _ in range(filtration.max_dim + 2)]
+    top = max(map(len, filtration.vertices), default=1)  # vertex count of the largest simplex
+    by_dim: list[list[int]] = [[] for _ in range(top + 1)]
     for i, vs in enumerate(filtration.vertices):
         by_dim[len(vs) - 1].append(i)
 
     pairs: list[tuple[int, int]] = []
     essentials: list[int] = []
     cleared: set[int] = set()
-    for d in range(filtration.max_dim + 1):
+    for d in range(top):
         cofaces: dict[int, list[int]] = {}
         cells = by_dim[d + 1]  # row r of the coboundary matrix is cells[r]
         for r, j in enumerate(cells):

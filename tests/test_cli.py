@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import wordhom
-from wordhom import PrimeField, betti_at, build_vr_filtration, parse_edge_list
+from wordhom import Filtration, PrimeField, betti_at, build_vr_filtration, parse_edge_list
 from wordhom.cli import main
 from wordhom.exports import read_filtration_tsv
 
@@ -414,6 +414,37 @@ def test_output_headers_embed_configuration(edges_tsv, tmp_path, capsys):
     for needle in ("command=persist", "field=3", "max_dim=2", "version="):
         assert needle in joined
 
+
+
+def test_listed_complex_headers_leave_out_the_complex_options(edges_tsv, tmp_path, capsys):
+    filt, out, svg, cycles = (tmp_path / name for name in ("f.tsv", "b.tsv", "b.svg", "c.tsv"))
+    run(["filtrate", "--in", edges_tsv, "--max-dim", "2", "--max-eps", "0.5", "--out", str(filt)], capsys)
+    argv = ["persist", "--in", str(filt), "--format", "filtration", "--out", str(out)]
+    assert run(argv + ["--svg", str(svg), "--cycles", str(cycles)], capsys)[0] == 0
+    for path in (out, svg, cycles):
+        text = path.read_text()
+        assert "format=filtration" in text
+        for key in ("max_dim", "max_eps", "vertex_birth", "max_simplices"):
+            assert key not in text
+    assert "max_dim=2" in filt.read_text()
+
+
+@pytest.mark.parametrize("fmt, walks", [("filtration", 1), ("edges", 0)])
+def test_persist_walks_the_closure_once_per_outside_filtration(fmt, walks, edges_tsv, tmp_path, capsys, monkeypatch):
+    path = edges_tsv
+    if fmt == "filtration":
+        path = str(tmp_path / "f.tsv")
+        run(["filtrate", "--in", edges_tsv, "--out", path], capsys)
+    calls = []
+    violations = Filtration._violations
+
+    def counting(self):
+        calls.append(len(self))
+        return violations(self)
+
+    monkeypatch.setattr(Filtration, "_violations", counting)
+    assert run(["persist", "--in", path, "--format", fmt, "--cycles", str(tmp_path / "c.tsv")], capsys)[0] == 0
+    assert len(calls) == walks
 
 
 # Modules `import wordhom` must not load: numpy and scipy (imported where

@@ -17,6 +17,7 @@ from wordhom import (
     sweep,
     validate_complex,
 )
+from wordhom.exports import write_filtration_tsv
 from conftest import random_dissimilarity_graph
 
 
@@ -86,7 +87,7 @@ def test_every_complex_is_face_closed():
         filt = build_vr_filtration(g, max_dim=3, max_eps=1.0)
         for eps in filt.event_values():
             assert validate_complex(filt.complex_at(eps)) == []
-        assert filt.validate() == []
+        assert Filtration(filt.entries).entries == filt.entries
 
 
 def test_birth_is_max_pairwise_dissimilarity_brute_force():
@@ -128,7 +129,7 @@ def test_first_edge_vertex_births():
     assert births[Simplex((0,))] == 0.4
     assert births[Simplex((1,))] == 0.4
     assert births[Simplex((2,))] == 0.7
-    assert filt.validate() == []
+    assert Filtration(filt.entries).entries == filt.entries
     assert g.vertex_births("first-edge") == [0.4, 0.4, 0.7]
 
 
@@ -169,7 +170,7 @@ def test_filtration_tsv_roundtrip_shape():
     g = WeightedGraph.from_dissimilarities(3, {(0, 1): 0.25, (1, 2): 0.5})
     filt = build_vr_filtration(g, max_dim=2, max_eps=1.0)
     buf = io.StringIO()
-    filt.to_tsv(buf)
+    write_filtration_tsv(buf, filt)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "0.0\t0"
     assert lines[-1] == "0.5\t1,2"
@@ -181,8 +182,8 @@ def test_filtration_sorts_its_entries():
     filt = build_vr_filtration(g, max_dim=2, max_eps=1.0)
     shuffled = list(filt.entries)
     random.Random(3).shuffle(shuffled)
-    assert Filtration(shuffled, 2, 1.0).entries == filt.entries
-    assert Filtration(filt.entries, 2, 1.0).entries == filt.entries
+    assert Filtration(shuffled).entries == filt.entries
+    assert Filtration(filt.entries).entries == filt.entries
 
 
 def test_filtration_entries_are_made_once():
@@ -195,7 +196,7 @@ def test_filtration_entries_are_made_once():
 def test_filtration_rejects_repeated_simplex():
     entries = [(Simplex((0,)), 0.0), (Simplex((1,)), 0.0), (Simplex((0, 1)), 0.1), (Simplex((0, 1)), 0.5)]
     with pytest.raises(ValueError, match=r"Simplex\(\[0, 1\]\) appears more than once"):
-        Filtration(entries, 1, 1.0)
+        Filtration(entries)
 
 
 def test_graph_validation():
@@ -270,3 +271,23 @@ def test_edge_orders_are_cached_tuples():
     assert g.pair_sorted_edges() is g.pair_sorted_edges()
     assert g.merge_order() == ((1.0 - 0.7, 0, 1), (1.0 - 0.25, 2, 3), (1.0 - 0.1, 1, 2))
     assert g.merge_order() is g.merge_order()
+
+
+BROKEN_ENTRIES = {
+    "repeated-simplex": ([((0,), 0.0), ((0,), 0.5)], r"Simplex\(\[0\]\) appears more than once"),
+    "negative-birth": ([((0,), -0.5)], r"birth -0.5 of Simplex\(\[0\]\) is not finite and >= 0"),
+    "nan-birth": ([((0,), math.nan)], r"birth nan of Simplex\(\[0\]\) is not finite and >= 0"),
+    "inf-birth": ([((0,), 0.0), ((1,), math.inf)], r"birth inf of Simplex\(\[1\]\) is not finite and >= 0"),
+    "missing-face": ([((0,), 0.0), ((0, 1), 0.2)], r"Simplex\(\[0, 1\]\) present without its face Simplex\(\[1\]\)"),
+    "later-born-face": (
+        [((0,), 0.0), ((0, 1), 0.2), ((1,), 0.5)],
+        r"face Simplex\(\[1\]\) born at 0.5 after Simplex\(\[0, 1\]\) at 0.2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_ENTRIES))
+def test_filtration_refuses_broken_entries(case):
+    entries, message = BROKEN_ENTRIES[case]
+    with pytest.raises(ValueError, match=f"^filtration violates its invariants: .*{message}"):
+        Filtration([(Simplex(vs), b) for vs, b in entries])

@@ -16,6 +16,7 @@ from wordhom.exports import (
     read_filtration_tsv,
     write_barcode_tsv,
     write_cycles_tsv,
+    write_filtration_tsv,
     write_sweep_tsv,
 )
 
@@ -85,7 +86,7 @@ def test_filtration_tsv_roundtrip():
     g = WeightedGraph.from_dissimilarities(3, {(0, 1): 0.25, (1, 2): 0.5})
     filt = build_vr_filtration(g, max_dim=2, max_eps=1.0)
     buf = io.StringIO()
-    filt.to_tsv(buf)
+    write_filtration_tsv(buf, filt)
     back = read_filtration_tsv(io.StringIO(buf.getvalue()))
     assert back.entries == filt.entries
 
@@ -130,7 +131,7 @@ def test_tsv_readers_accept_crlf_line_ends():
     crlf = buf.getvalue().replace("\n", "\r\n")
     assert read_barcode_tsv(io.StringIO(crlf, newline="")) == bc
     buf = io.StringIO()
-    filt.to_tsv(buf)
+    write_filtration_tsv(buf, filt)
     crlf = "# comment\r\n\r\n" + buf.getvalue().replace("\n", "\r\n")
     assert read_filtration_tsv(io.StringIO(crlf, newline="")).entries == filt.entries
     with pytest.raises(DataFormatError, match=r"line 2: malformed barcode row '1\\t0.5\\tx'$"):

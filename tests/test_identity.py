@@ -84,7 +84,7 @@ def render_indices(p: int) -> str:
 def shuffled_filtration():
     """The first-edge vr12 filtration's rows in a shuffled order, read back."""
     buf = io.StringIO()
-    vr12_filtration("first-edge").to_tsv(buf)
+    write_filtration_tsv(buf, vr12_filtration("first-edge"))
     rows = buf.getvalue().splitlines(keepends=True)
     random.Random(7).shuffle(rows)
     return read_filtration_tsv(io.StringIO("# shuffled\n" + "".join(rows)))

@@ -150,7 +150,7 @@ def test_barcode_and_cycles_match_dense_oracle(filt):
         red = reduce_filtration(filt, field)
         bc = red.barcode()
         for eps in filt.event_values():
-            for k in range(filt.max_dim + 1):
+            for k in range(max(map(len, filt.vertices))):
                 assert bc.alive_count(k, eps) == betti_at(filt, eps, k, field)
         for iv in bc.all_intervals():
             rep = red.representative(iv)
@@ -247,12 +247,11 @@ def test_field_independence_on_fixtures(shell_arm, octahedron, torus7):
 
 def test_reduce_rejects_broken_filtration():
     entries = [(Simplex((0, 1)), 0.0)]
-    filt = Filtration(entries, 1, 1.0)
     with pytest.raises(ValueError, match="invariant.*without its face Simplex"):
-        reduce_filtration(filt, F2)
+        Filtration(entries)
     late_face = [(Simplex((0,)), 0.0), (Simplex((0, 1)), 0.2), (Simplex((1,)), 0.5)]
     with pytest.raises(ValueError, match=r"face Simplex\(\[1\]\) born at 0.5 after"):
-        reduce_filtration(Filtration(late_face, 1, 1.0), F2)
+        Filtration(late_face)
 
 
 def test_vr_pipeline_makes_no_simplex(monkeypatch):
@@ -277,3 +276,18 @@ def test_vr_pipeline_makes_no_simplex(monkeypatch):
 def test_barcode_rejects_negative_length():
     with pytest.raises(ValueError):
         Barcode([Interval(0, 1.0, 0.5)])
+
+
+@pytest.mark.parametrize(
+    "interval",
+    [
+        Interval(0, math.nan, 1.0),
+        Interval(1, 0.2, math.nan),
+        Interval(-1, 0.0, 0.5),
+        Interval(0, -0.1, 0.5),
+        Interval(0, math.inf, math.inf),
+    ],
+)
+def test_barcode_refuses_intervals_its_reader_refuses(interval):
+    with pytest.raises(ValueError, match="interval needs dim >= 0"):
+        Barcode([Interval(0, 0.0, math.inf), interval])
