@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .simplices import Simplex
@@ -189,7 +189,7 @@ class Filtration:
     """
 
     def __init__(self, entries: Iterable[tuple[Simplex, float]]):
-        self._set([(float(b), len(s), s.vertices) for s, b in entries])
+        self._set(*_in_order([(float(b), len(s), s.vertices) for s, b in entries]))
         problems = []
         for i, (vs, b) in enumerate(zip(self.vertices, self.births)):
             if self._position[vs] != i:
@@ -200,15 +200,10 @@ class Filtration:
         if problems:
             raise ValueError(f"filtration violates its invariants: {problems[:3]}")
 
-    def _set(self, rows: list[tuple[float, int, tuple[int, ...]]]) -> None:
-        """Sort (birth, vertex count, vertices) rows and store them unchecked."""
-        rows.sort()
-        vertices = tuple(vs for _, _, vs in rows)
-        vars(self).update(
-            vertices=vertices,
-            births=tuple(b for b, _, _ in rows),
-            _position={vs: i for i, vs in enumerate(vertices)},
-        )
+    def _set(self, vertices: tuple[tuple[int, ...], ...], births: tuple[float, ...]) -> "Filtration":
+        """Store vertex tuples and births already in filtration order, unchecked."""
+        vars(self).update(vertices=vertices, births=births)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Filtration is immutable")
@@ -242,6 +237,11 @@ class Filtration:
 
     def event_values(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.births)))
+
+    @cached_property
+    def _position(self) -> dict[tuple[int, ...], int]:
+        """Position of each vertex tuple (its last, if listed twice)."""
+        return dict(zip(self.vertices, range(len(self.vertices))))
 
     @cached_property
     def face_positions(self) -> tuple[tuple[int | None, ...], ...]:
@@ -284,10 +284,14 @@ def build_vr_filtration(
     dissimilarity at most max_eps; its birth is the largest pairwise
     dissimilarity among its vertices (vertices use ``vertex_birth``).
     Cliques are enumerated by ordered neighbor intersection, so the
-    work is proportional to the simplices actually emitted.
+    work is proportional to the simplices actually emitted; each
+    candidate vertex carries its largest dissimilarity to the clique, so
+    a birth is one comparison. The search meets each dimension's
+    simplices in lexicographic order, so one stable sort by birth puts
+    them in filtration order.
 
-    Raises :class:`SimplexBudgetError` when more than ``max_simplices``
-    simplices would be produced.
+    Raises :class:`SimplexBudgetError` as soon as more than
+    ``max_simplices`` simplices would be produced.
     """
     from numbers import Integral
 
@@ -297,46 +301,53 @@ def build_vr_filtration(
         raise ValueError("max_eps must lie in [0, 1]")
 
     births = graph.vertex_births(vertex_birth)
-    adj = graph.adjacency()
-    neighbors = {
-        v: sorted(u for u, d in adj[v].items() if u > v and d <= max_eps)
-        for v in range(graph.n)
-    }
+    near = [{u: d for u, d in adj.items() if u > v and d <= max_eps} for v, adj in graph.adjacency().items()]
+    budget = math.inf if max_simplices is None else max_simplices
+    # by_dim[k] lists the k-simplices, and born[k] their births, in
+    # lexicographic order: the order in which the search below meets them
+    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(max_dim + 1)]
+    born: list[list[float]] = [[] for _ in range(max_dim + 1)]
+    count = 0
 
-    rows: list[tuple[float, int, tuple[int, ...]]] = []
-
-    def emit(vertices: tuple[int, ...], birth: float) -> None:
-        if max_simplices is not None and len(rows) >= max_simplices:
+    def grow(clique: tuple[int, ...], birth: float, cand: list[tuple[int, float]]) -> None:
+        # cand pairs each vertex adjacent (within max_eps) to all of clique,
+        # in ascending order, with the largest of its own birth and its
+        # dissimilarities to clique
+        nonlocal count
+        count += len(cand)
+        if count > budget:
             raise SimplexBudgetError(
                 f"complex exceeds the {max_simplices}-simplex budget; "
                 "lower max_eps or max_dim, or raise the budget"
             )
-        rows.append((birth, len(vertices), vertices))
+        dim = len(clique)
+        extended = [clique + (u,) for u, _ in cand]
+        extended_births = [birth if birth >= d else d for _, d in cand]
+        by_dim[dim] += extended
+        born[dim] += extended_births
+        if dim == max_dim:
+            return
+        for idx, (u, _) in enumerate(cand):
+            adjacent = near[u]
+            nxt = [(w, d if d >= e else e) for w, d in cand[idx + 1 :] if (e := adjacent.get(w)) is not None]
+            if nxt:
+                grow(extended[idx], extended_births[idx], nxt)
 
-    def grow(clique: tuple[int, ...], birth: float, cand: list[int]) -> None:
-        # invariant: every candidate is adjacent (within max_eps) to all of clique
-        for idx, u in enumerate(cand):
-            b = birth
-            for w in clique:
-                d = adj[u][w]
-                if d > b:
-                    b = d
-            extended = clique + (u,)
-            emit(extended, b)
-            if len(extended) <= max_dim:
-                nxt = [w for w in cand[idx + 1 :] if w in adj[u] and adj[u][w] <= max_eps]
-                if nxt:
-                    grow(extended, b, nxt)
+    grow((), 0.0, [(v, b) for v, b in enumerate(births) if b <= max_eps])
+    # (birth, dim, vertices) order: the dimensions joined in turn, then
+    # one stable sort of the positions by birth
+    vertices = list(chain.from_iterable(by_dim))
+    births = list(chain.from_iterable(born))
+    order = sorted(range(len(births)), key=births.__getitem__)
+    return Filtration.__new__(Filtration)._set(
+        tuple(map(vertices.__getitem__, order)), tuple(map(births.__getitem__, order))
+    )
 
-    for v in range(graph.n):
-        if births[v] <= max_eps:
-            emit((v,), births[v])
-        if max_dim >= 1:
-            grow((v,), births[v], neighbors[v])
 
-    filtration = Filtration.__new__(Filtration)
-    filtration._set(rows)
-    return filtration
+def _in_order(rows: list[tuple[float, int, tuple[int, ...]]]) -> tuple[tuple, tuple]:
+    """Vertex tuples and births of (birth, vertex count, vertices) rows, sorted."""
+    rows.sort()
+    return tuple(vs for _, _, vs in rows), tuple(b for b, _, _ in rows)
 
 
 def face_closure(simplices: Iterable[Simplex]) -> set[Simplex]:

@@ -8,6 +8,8 @@ are byte-identical.
 from __future__ import annotations
 
 import math
+from itertools import groupby
+from operator import itemgetter
 from typing import Mapping, TextIO
 
 from .clustering import Clustering, SweepResult
@@ -35,8 +37,13 @@ def write_barcode_tsv(
     """Rows `k<TAB>birth<TAB>death`, death `inf` for essential classes,
     sorted by (k, birth, death); zero-length bars filtered by default."""
     write_header(stream, config)
-    for iv in barcode.all_intervals(include_zero_length):
-        stream.write(f"{iv.dim}\t{iv.birth!r}\t{_fmt_value(iv.death)}\n")
+    rows = []
+    for (k, birth, death), run in groupby(map(itemgetter(0, 1, 2), barcode.all_intervals(include_zero_length))):
+        if birth:  # then death is nonzero too, and equal values print alike
+            rows.append(f"{k}\t{birth!r}\t{_fmt_value(death)}\n" * len(list(run)))
+        else:  # 0.0 and -0.0 are equal but print apart
+            rows += (f"{k}\t{b!r}\t{_fmt_value(d)}\n" for _, b, d in run)
+    stream.write("".join(rows))
 
 
 def read_barcode_tsv(stream: TextIO) -> Barcode:
@@ -57,7 +64,7 @@ def read_barcode_tsv(stream: TextIO) -> Barcode:
         if not death >= birth:
             raise DataFormatError(lineno, f"death must be a number >= birth {birth!r}, got {parts[2]!r}")
         intervals.append(Interval(k, birth, death))
-    return Barcode(intervals)
+    return Barcode.__new__(Barcode)._set(intervals, Interval.sort_key)
 
 
 def write_clustering_tsv(
@@ -118,7 +125,7 @@ def read_filtration_tsv(stream: TextIO) -> "Filtration":
     simplex listed twice, or one listed without a face or before a face
     born later is a :class:`DataFormatError` naming the simplex's line.
     """
-    from .complexes import Filtration
+    from .complexes import Filtration, _in_order
     from .simplices import Simplex
 
     rows = []
@@ -135,8 +142,7 @@ def read_filtration_tsv(stream: TextIO) -> "Filtration":
             raise DataFormatError(lineno, f"simplex {parts[1]} already listed on line {line_of[vertices]}")
         line_of[vertices] = lineno
         rows.append((birth, len(vertices), vertices))
-    filtration = Filtration.__new__(Filtration)
-    filtration._set(rows)
+    filtration = Filtration.__new__(Filtration)._set(*_in_order(rows))
     for i, problem in filtration._violations():
         raise DataFormatError(line_of[filtration.vertices[i]], problem)
     return filtration

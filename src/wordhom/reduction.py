@@ -14,9 +14,13 @@ made until a cycle is asked for.
 
 Over Z/2 a column is an ``int`` with bit r set when row r is nonzero,
 so adding a column is ``^``; over Z/p it is a dict from row to entry.
-A simplex's cofaces are collected as an ascending list of rows (ranks
-in their dimension, to keep bitsets narrow) whose first entry is the
-unreduced pivot; a column is built only when an addition needs it.
+Rows are ranks within their dimension, to keep bitsets narrow. For each
+dimension d, the faces of all (d+1)-simplices are looked up once, in
+``combinations`` order, into one flat list of positions; a d-simplex's
+cofaces are the ascending flat indices t where it appears. Index t is
+row t // (d + 2), with vertex d + 1 - t % (d + 2) omitted, which gives
+the entry's sign. The first index is the unreduced pivot; a column is
+built only when an addition needs it.
 
 Representative cycles need reduced boundary columns, which the
 cohomology pass does not produce. :meth:`ReducedFiltration.representative`
@@ -32,6 +36,8 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property
+from itertools import chain, combinations, groupby, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .chains import Chain
@@ -74,14 +80,18 @@ class Barcode:
     dim >= 0, a finite birth >= 0 and a death >= it (``inf`` if essential)."""
 
     def __init__(self, intervals: Iterator[Interval] | list[Interval]):
-        by_dim: dict[int, list[Interval]] = {}
+        intervals = list(intervals)
         for iv in intervals:
             if not (iv.dim >= 0 and 0 <= iv.birth < math.inf and iv.death >= iv.birth):
                 raise ValueError(f"interval needs dim >= 0, a finite birth >= 0 and a death >= it, got {iv}")
-            by_dim.setdefault(iv.dim, []).append(iv)
-        for group in by_dim.values():
-            group.sort(key=Interval.sort_key)
-        self._by_dim = {k: tuple(group) for k, group in sorted(by_dim.items())}
+        self._set(intervals, Interval.sort_key)
+
+    def _set(self, intervals: list[Interval], key: Callable | None = None) -> "Barcode":
+        """Sort intervals by ``key`` (plain tuple order if None; either way
+        by dimension first) and store them by dimension, unchecked."""
+        intervals.sort(key=key)
+        self._by_dim = {k: tuple(run) for k, run in groupby(intervals, itemgetter(0))}
+        return self
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -91,7 +101,7 @@ class Barcode:
         group = self._by_dim.get(k, ())
         if include_zero_length:
             return group
-        return tuple(iv for iv in group if not iv.is_zero_length)
+        return tuple(iv for iv in group if iv.death != iv.birth)
 
     def all_intervals(self, include_zero_length: bool = True) -> list[Interval]:
         out = []
@@ -105,13 +115,11 @@ class Barcode:
         return sum(1 for iv in self._by_dim.get(k, ()) if iv.alive_at(eps))
 
     def max_finite_value(self) -> float:
-        best = 0.0
+        values = [0.0]
         for ivs in self._by_dim.values():
-            for iv in ivs:
-                best = max(best, iv.birth)
-                if not iv.is_infinite:
-                    best = max(best, iv.death)
-        return best
+            values.append(ivs[-1].birth)  # the largest: intervals sort by birth
+            values += set(map(itemgetter(2), ivs)) - {math.inf}
+        return max(values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Barcode):
@@ -209,10 +217,14 @@ class ReducedFiltration:
         self._boundary_cache: dict[int, dict[int, Reduced]] = {}
 
     def barcode(self) -> Barcode:
+        """The intervals of the pairs and essential classes. They are sound
+        by construction and their birth indices are distinct, so plain
+        tuple order is :meth:`Interval.sort_key` order and nothing is checked."""
         vertices, births = self.filtration.vertices, self.filtration.births
-        intervals = [Interval(len(vertices[i]) - 1, births[i], births[j], i, j) for i, j in self.pairs]
-        intervals += (Interval(len(vertices[i]) - 1, births[i], math.inf, i, None) for i in self.essentials)
-        return Barcode(intervals)
+        new = tuple.__new__  # new(Interval, row) is Interval(*row) without a Python-level call
+        intervals = [new(Interval, (len(vertices[i]) - 1, births[i], births[j], i, j)) for i, j in self.pairs]
+        intervals += (new(Interval, (len(vertices[i]) - 1, births[i], math.inf, i, None)) for i in self.essentials)
+        return Barcode.__new__(Barcode)._set(intervals)
 
     @cached_property
     def _death_of(self) -> dict[int, int | None]:
@@ -287,30 +299,35 @@ def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltr
     :class:`Filtration` is checked where it is made, so it is not
     checked here.
     """
-    faces = filtration.face_positions
-    top = max(map(len, filtration.vertices), default=1)  # vertex count of the largest simplex
+    vertices = filtration.vertices
+    top = max(map(len, vertices), default=1)  # vertex count of the largest simplex
     by_dim: list[list[int]] = [[] for _ in range(top + 1)]
-    for i, vs in enumerate(filtration.vertices):
+    for i, vs in enumerate(vertices):
         by_dim[len(vs) - 1].append(i)
 
     pairs: list[tuple[int, int]] = []
     essentials: list[int] = []
     cleared: set[int] = set()
     for d in range(top):
-        cofaces: dict[int, list[int]] = {}
         cells = by_dim[d + 1]  # row r of the coboundary matrix is cells[r]
-        for r, j in enumerate(cells):
-            for i in faces[j]:
-                if i not in cleared:
-                    cofaces.setdefault(i, []).append(r)
+        k = d + 2  # faces per row: flat index t is face k - 1 - t % k of row t // k
+        # the position of each d-simplex, to look up the faces of the cells
+        position = dict(zip(map(vertices.__getitem__, by_dim[d]), by_dim[d])) if cells else {}
+        faces = chain.from_iterable(map(combinations, map(vertices.__getitem__, cells), repeat(d + 1)))
+        flat = list(map(position.__getitem__, faces))
+        cofaces: list[list[int] | None] = [None] * len(vertices)  # per d-simplex, the flat indices of its cofaces
+        for i in set(flat):
+            cofaces[i] = []
+        for t, i in enumerate(flat):
+            cofaces[i].append(t)
         owner_of: dict[int, int] = {}  # pivot row -> simplex whose column owns it
         columns: dict[int, Reduced] = {}  # simplex -> column, once built
         empty = _column((), (), field.p)
 
         def column(i: int) -> Reduced:
             if i not in columns:
-                rows = cofaces[i]
-                columns[i] = (_column(rows, (faces[cells[r]].index(i) for r in rows), field.p), empty)
+                ts = cofaces[i]
+                columns[i] = (_column([t // k for t in ts], (k - 1 - t % k for t in ts), field.p), empty)
             return columns[i]
 
         def owner(row: int) -> Reduced | None:
@@ -319,7 +336,7 @@ def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltr
         for i in reversed(by_dim[d]):
             if i in cleared:
                 continue
-            row = cofaces[i][0] if i in cofaces else None
+            row = cofaces[i][0] // k if cofaces[i] else None
             if row in owner_of:
                 row, col, _ = _reduce_column(column(i)[0], _first_row, owner, field, empty)
                 columns[i] = (col, empty)

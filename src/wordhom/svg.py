@@ -8,6 +8,8 @@ Text is escaped by :func:`_escape`, the three replacements of
 from __future__ import annotations
 
 import math
+from itertools import groupby
+from operator import itemgetter
 
 from .reduction import Barcode
 
@@ -16,7 +18,7 @@ _MARGIN_LEFT = 70
 _MARGIN_RIGHT = 50
 _MARGIN_TOP = 34
 _MARGIN_BOTTOM = 42
-_BAR_HEIGHT = 10
+_BAR_HEIGHT = 10  # even, so that an arrowhead's tip is a whole pixel below its bar's top
 _BAR_GAP = 4
 _GROUP_HEADER = 20
 _PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#7d3c98", "#b7950b", "#34495e")
@@ -103,6 +105,9 @@ def render_barcode_svg(
             f'font-family="sans-serif" font-size="11">{value:.3g}</text>'
         )
 
+    right = _MARGIN_LEFT + plot_w
+    # an arrowhead's x values are the same for every infinite bar
+    base, tip = _fmt(right), _fmt(right + 12)
     y = _MARGIN_TOP
     for k, intervals in groups:
         color = _PALETTE[k % len(_PALETTE)]
@@ -111,24 +116,21 @@ def render_barcode_svg(
             f'font-size="12" fill="{color}">k = {k} ({len(intervals)})</text>'
         )
         y += _GROUP_HEADER
-        for iv in intervals:
-            x0 = x_of(iv.birth)
-            if iv.is_infinite:
-                x1 = _MARGIN_LEFT + plot_w
-            else:
-                x1 = x_of(iv.death)
-            width = max(x1 - x0, 1.0)
-            out.append(
-                f'<rect x="{_fmt(x0)}" y="{y}" width="{_fmt(width)}" '
-                f'height="{_BAR_HEIGHT}" fill="{color}"/>'
-            )
-            if iv.is_infinite:
-                tip = _MARGIN_LEFT + plot_w + 12
-                mid = y + _BAR_HEIGHT / 2
-                out.append(
-                    f'<polygon points="{_fmt(x1)},{_fmt(y - 2)} {_fmt(tip)},{_fmt(mid)} '
-                    f'{_fmt(x1)},{_fmt(y + _BAR_HEIGHT + 2)}" fill="{color}"/>'
-                )
-            y += _BAR_HEIGHT + _BAR_GAP
+        # bars sort by (birth, death), so equal spans are adjacent and
+        # each span's rect pieces are made once
+        for (birth, death), run in groupby(intervals, key=itemgetter(1, 2)):
+            x0 = x_of(birth)
+            infinite = death == math.inf
+            width = max((right if infinite else x_of(death)) - x0, 1.0)
+            head = f'<rect x="{_fmt(x0)}" y="'
+            tail = f'" width="{_fmt(width)}" height="{_BAR_HEIGHT}" fill="{color}"/>'
+            for _ in run:
+                out.append(f"{head}{y}{tail}")
+                if infinite:  # its y values are whole numbers, which _fmt prints with ".00"
+                    out.append(
+                        f'<polygon points="{base},{y - 2}.00 {tip},{y + _BAR_HEIGHT // 2}.00 '
+                        f'{base},{y + _BAR_HEIGHT + 2}.00" fill="{color}"/>'
+                    )
+                y += _BAR_HEIGHT + _BAR_GAP
     out.append("</svg>")
     return "\n".join(out) + "\n"

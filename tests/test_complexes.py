@@ -5,15 +5,18 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordhom import (
     Filtration,
+    PrimeField,
     Simplex,
     SimplexBudgetError,
     WeightedGraph,
     build_vr_filtration,
     face_closure,
     persistence_clusters,
+    reduce_filtration,
     sweep,
     validate_complex,
 )
@@ -144,6 +147,69 @@ def test_simplex_budget():
     g = WeightedGraph.from_dissimilarities(8, edges)
     with pytest.raises(SimplexBudgetError, match="budget"):
         build_vr_filtration(g, max_dim=3, max_eps=1.0, max_simplices=20)
+
+
+def brute_force_vr(graph, max_dim, max_eps, vertex_birth):
+    """Every vertex set of at most max_dim + 1 vertices whose pairs are all
+    edges within max_eps, born at the largest of its pairwise
+    dissimilarities and vertex births, as (vertices, births) in
+    (birth, dim, vertices) order."""
+    if vertex_birth == "zero":
+        vertex = [0.0] * graph.n
+    else:
+        vertex = [
+            min((d for u in range(graph.n) if (d := graph.dissimilarity(v, u)) is not None and u != v), default=0.0)
+            for v in range(graph.n)
+        ]
+    rows = []
+    for size in range(1, max_dim + 2):
+        for vs in itertools.combinations(range(graph.n), size):
+            ds = [graph.dissimilarity(a, b) for a, b in itertools.combinations(vs, 2)]
+            if all(d is not None and d <= max_eps for d in ds) and all(vertex[v] <= max_eps for v in vs):
+                rows.append((max(ds + [vertex[v] for v in vs]), size, vs))
+    rows.sort()
+    return tuple(vs for _, _, vs in rows), tuple(b for b, _, _ in rows)
+
+
+@st.composite
+def tied_graphs(draw):
+    """Graphs on up to 7 vertices whose dissimilarities take three values, so births tie."""
+    n = draw(st.integers(0, 7))
+    values = st.one_of(st.none(), st.sampled_from((0.25, 0.5, 1.0)))
+    edges = {}
+    for e in itertools.combinations(range(n), 2):
+        d = draw(values)
+        if d is not None:
+            edges[e] = d
+    return WeightedGraph.from_dissimilarities(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tied_graphs(),
+    st.integers(0, 4),
+    st.sampled_from((0.5, 1.0)),
+    st.sampled_from(("zero", "first-edge")),
+)
+def test_build_equals_brute_force_cliques(graph, max_dim, max_eps, vertex_birth):
+    filt = build_vr_filtration(graph, max_dim=max_dim, max_eps=max_eps, vertex_birth=vertex_birth)
+    assert (filt.vertices, filt.births) == brute_force_vr(graph, max_dim, max_eps, vertex_birth)
+
+
+@pytest.mark.parametrize("max_dim", range(4))
+def test_simplex_budget_edge(max_dim):
+    g = random_dissimilarity_graph(random.Random(21), n_min=9, n_max=9, p_edge=0.7)
+    count = len(build_vr_filtration(g, max_dim=max_dim))
+    assert len(build_vr_filtration(g, max_dim=max_dim, max_simplices=count)) == count
+    with pytest.raises(SimplexBudgetError, match=f"complex exceeds the {count - 1}-simplex budget"):
+        build_vr_filtration(g, max_dim=max_dim, max_simplices=count - 1)
+
+
+def test_reduction_leaves_face_positions_unmade():
+    filt = build_vr_filtration(random_dissimilarity_graph(random.Random(22)), max_dim=3)
+    reduce_filtration(filt, PrimeField(2))
+    reduce_filtration(filt, PrimeField(3))
+    assert "face_positions" not in vars(filt)
 
 
 def test_max_dim_must_be_a_non_negative_integer():

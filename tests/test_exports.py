@@ -4,7 +4,9 @@ import math
 import pytest
 
 from wordhom import (
+    Barcode,
     DataFormatError,
+    Interval,
     PrimeField,
     build_vr_filtration,
     reduce_filtration,
@@ -153,3 +155,28 @@ def test_read_barcode_tsv_names_the_line_of_a_bad_row(case):
     row, message = BAD_BARCODE_ROWS[case]
     with pytest.raises(DataFormatError, match=f"^line 3: {message}$"):
         read_barcode_tsv(io.StringIO(f"# field=2\n0\t0.0\tinf\n{row}\n"))
+
+
+def test_read_barcode_tsv_checks_each_row_once(monkeypatch):
+    text = "# field=2\n1\t0.25\t0.75\n0\t0.5\tinf\n0\t0.0\t0.5\n0\t0.0\t0.5\n0\t0.0\t0.25\n"
+    rows = [(1, 0.25, 0.75), (0, 0.5, math.inf), (0, 0.0, 0.5), (0, 0.0, 0.5), (0, 0.0, 0.25)]
+    expected = Barcode([Interval(*row) for row in rows]).all_intervals()
+
+    def refuse(self, intervals):
+        raise AssertionError("the reader ran the public Barcode check")
+
+    monkeypatch.setattr(Barcode, "__init__", refuse)
+    read = read_barcode_tsv(io.StringIO(text)).all_intervals()
+    monkeypatch.undo()
+    assert read == expected
+    assert all(type(iv) is Interval for iv in read)
+    # the public constructor still refuses what the reader would
+    with pytest.raises(ValueError, match="interval needs dim >= 0"):
+        Barcode(read + [Interval(1, 0.5, 0.25)])
+
+
+def test_barcode_tsv_prints_equal_rows_alike_and_signed_zeros_apart():
+    rows = [(0, -0.0, 0.5), (0, 0.0, 0.5), (0, -0.0, 0.5), (1, 0.25, math.inf), (1, 0.25, math.inf), (1, 0.25, 0.75)]
+    buf = io.StringIO()
+    write_barcode_tsv(buf, Barcode([Interval(*row) for row in rows]))
+    assert buf.getvalue() == "0\t-0.0\t0.5\n0\t0.0\t0.5\n0\t-0.0\t0.5\n1\t0.25\t0.75\n1\t0.25\tinf\n1\t0.25\tinf\n"

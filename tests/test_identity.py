@@ -19,13 +19,24 @@ for byte. To rewrite them after a deliberate change of output, run
 ``python tests/test_identity.py``.
 """
 
+import hashlib
 import io
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from wordhom import Filtration, PrimeField, build_vr_filtration, reduce_filtration, sweep, synthetic_corpus
+from wordhom import (
+    Filtration,
+    PrimeField,
+    WeightedGraph,
+    build_vr_filtration,
+    reduce_filtration,
+    render_barcode_svg,
+    sweep,
+    synthetic_corpus,
+)
 from wordhom.clustering import markov_clusters
 from wordhom.exports import (
     read_filtration_tsv,
@@ -163,6 +174,57 @@ def test_exports_match_recorded_bytes(name, p):
 def test_pair_indices_match_recorded(p):
     expected = (DATA / f"vr30-p{p}.indices.tsv").read_text(encoding="utf-8")
     assert render_indices(p) == expected, f"vr30 over Z/{p}: pairs or essentials differ from the recorded ones"
+
+
+def vr60_graph():
+    """n=60 with half of the 1,770 pairs as edges, strengths in (0.01, 1]."""
+    rng = random.Random(60)
+    pairs = sorted(rng.sample(list(itertools.combinations(range(60), 2)), 885))
+    return WeightedGraph(60, {e: 1.0 - 0.99 * rng.random() for e in pairs})
+
+
+# sha256 of the vr60 barcode TSV and SVG at max-dim 3, keyed by
+# (field, zero-length bars included), written by the reduction whose
+# coboundaries were read through per-simplex face positions.
+VR60_DIGESTS = {
+    (2, False): (
+        "a6e0a0274603fbcbf5df1c4070ab9853acd3ed389d7c7c452f55ee716f0e79fd",
+        "5bdc9d50033532407879c97e1a23492c796e9f8888d7bc4b3d855fb00ba1353e",
+    ),
+    (2, True): (
+        "65d910b455d716c146a295461274105b25c4f62f54e3788093f9b9ab5f0c0705",
+        "bb816fdbd0088162d7766eee2fc14517619004148f7e33f2780c231555d2b3f9",
+    ),
+    (3, False): (
+        "f4ba47c6d613945ab93fce0e948efbdac2c5f30a4b4cdb33781720e91dc949ba",
+        "06f81de352bcab309aeacf3d86c219259d3021e7ebd104a2077fe531e81f8056",
+    ),
+    (3, True): (
+        "179278ef4e1bd789c633c76274c5e78c99967131a1d6e3abe7f0b12dfc51dca7",
+        "d17afdd47f42106a94068befbf0b55998f6cbbcc788accaee699a705e840292f",
+    ),
+}
+
+
+def vr60_digests(p: int) -> dict[bool, tuple[str, str]]:
+    """Digests of the vr60 barcode TSV and SVG over Z/p, keyed by whether
+    zero-length bars are included. Its thousands of repeated infinite H3
+    bars are what the vr12 and vr30 fixtures do not reach."""
+    barcode = reduce_filtration(build_vr_filtration(vr60_graph(), max_dim=3), PrimeField(p)).barcode()
+    config = {"fixture": "vr60", "field": p}
+    out = {}
+    for zero in (False, True):
+        buf = io.StringIO()
+        write_barcode_tsv(buf, barcode, config=config, include_zero_length=zero)
+        svg = render_barcode_svg(barcode, include_zero_length=zero, config=config)
+        out[zero] = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (buf.getvalue(), svg))
+    return out
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_vr60_outputs_match_recorded_digests(p):
+    for zero, digests in vr60_digests(p).items():
+        assert digests == VR60_DIGESTS[p, zero], f"vr60 over Z/{p} (zero-length bars {zero}): TSV or SVG differs"
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))

@@ -291,3 +291,19 @@ def test_barcode_rejects_negative_length():
 def test_barcode_refuses_intervals_its_reader_refuses(interval):
     with pytest.raises(ValueError, match="interval needs dim >= 0"):
         Barcode([Interval(0, 0.0, math.inf), interval])
+
+
+def test_reduced_barcode_is_built_unchecked_in_sort_key_order(monkeypatch):
+    # two-decimal dissimilarities, so births tie and the birth index decides
+    filt = build_vr_filtration(random_dissimilarity_graph(random.Random(31), n_min=12, n_max=12), max_dim=3)
+    reduced = reduce_filtration(filt, F2)
+    intervals = [Interval(len(filt.vertices[i]) - 1, filt.births[i], filt.births[j], i, j) for i, j in reduced.pairs]
+    intervals += (Interval(len(filt.vertices[i]) - 1, filt.births[i], math.inf, i, None) for i in reduced.essentials)
+    expected = Barcode(intervals).all_intervals()
+
+    def refuse(self, intervals):
+        raise AssertionError("barcode() ran the public Barcode check")
+
+    monkeypatch.setattr(Barcode, "__init__", refuse)
+    assert reduced.barcode().all_intervals() == expected
+    assert len({iv[:3] for iv in expected}) < len(expected)
