@@ -10,15 +10,17 @@ the edges, derive the vertex births and set up the modularity scorer
 once, then walk the grid in ascending order.
 
 Markov flow's matrix code lives in :mod:`wordhom.markov`, imported on
-the first ``markov_clusters`` call; its products skip scipy's symbolic
-pass and stay byte-identical to ``@`` (see that module). The sweeps
-relabel a union-find forest on arrays (``UnionFind.label_array``) and
-score the label array, with no ``Clustering`` per point.
+the first ``markov_clusters`` call: it holds CSC matrices as numpy
+arrays and calls scipy's compiled sparse kernels on them, byte-identical
+to the ``scipy.sparse`` operators and without importing ``scipy.sparse``
+(see that module). The sweeps relabel a union-find forest on arrays
+(``UnionFind.label_array``) and score the label array, with no
+``Clustering`` per point.
 
-Result types are named tuples. numpy and scipy.sparse are imported
-inside the functions that compute with them (relabelling and the
-modularity scorer) and by :mod:`wordhom.markov`, so importing this
-module loads neither.
+Result types are named tuples. numpy is imported inside the functions
+that compute with it (relabelling and the modularity scorer) and by
+:mod:`wordhom.markov`, so importing this module loads neither numpy nor
+scipy.
 """
 
 from __future__ import annotations

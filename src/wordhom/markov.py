@@ -5,180 +5,180 @@
 That function imports this module on its first call, so ``import
 wordhom`` neither compiles it nor loads numpy and scipy.
 
-Every sparse product here is ``_product``: it calls the numeric kernel
-scipy's ``@`` ends in (``_sparsetools.csr_matmat``) with the arguments
-``@`` passes, but sizes the output by a per-column bound instead of
-scipy's symbolic counting pass (``csr_matmat_maxnnz``, Gustavson 1978).
-Same kernel, same summation and index order, so every matrix, iteration
-count and partition is the one ``@`` gives. ``_sparsetools`` is private
-to scipy; ``test_product_equals_matmul`` pins the helper to ``@`` array
-for array, so a scipy release that changes either side fails there.
+A matrix is n-by-n CSC, held as ``(indptr, indices, data)``. Each
+helper calls the ``_sparsetools`` kernel its ``scipy.sparse`` operator
+ends in, with the operator's arguments, so every matrix, iteration
+count and partition is the operators'. ``scipy.sparse`` is never
+imported (about 300 modules and 20 MiB): the kernels come from its
+already loaded module, else from the extension file itself. They are
+private to scipy, so the tests pin each helper to its operator array
+for array, and a scipy release that changes either side fails there.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
 from .clustering import UnionFind
 from .complexes import WeightedGraph
 
 
-def _normalize_columns(m: sparse.csc_matrix) -> sparse.csc_matrix:
-    sums = np.asarray(m.sum(axis=0)).ravel()
-    empty = np.nonzero(sums == 0)[0]
+def _load_sparsetools(name: str = "scipy.sparse._sparsetools"):
+    if name in sys.modules:
+        return sys.modules[name]
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+    from importlib.util import find_spec, module_from_spec
+    scipy = find_spec("scipy")  # located, not imported
+    where = scipy and os.path.join(scipy.submodule_search_locations[0], "sparse")
+    spec = where and FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no {name} extension file (scipy's sparse directory: {where})")
+    spec.loader.exec_module(module := module_from_spec(spec))
+    return module
+
+
+_sparsetools = _load_sparsetools()
+
+
+def _kernel_args(n: int, size: int, *matrices):
+    """A kernel's inputs (index arrays cast alike) and n-column, ``size``-entry output."""
+    idx = np.int64 if size > 2**31 - 1 else np.result_type(*(x for m in matrices for x in m[:2]), np.int32)
+    args = [x if k == 2 else x.astype(idx, copy=False) for m in matrices for k, x in enumerate(m)]
+    return args, (np.empty(n + 1, dtype=idx), np.empty(size, dtype=idx), np.empty(size))
+
+
+def _trimmed(indptr, indices, data):
+    return indptr, indices[: indptr[-1]], data[: indptr[-1]]
+
+
+def _assemble(rows, cols, data, n: int):
+    """``csc_matrix((data, (rows, cols)), shape=(n, n))``: ``coo_tocsr`` on
+    the swapped coordinates, sort, sum duplicates; explicit zeros stay."""
+    rows, cols = np.asarray(rows, dtype=np.int32), np.asarray(cols, dtype=np.int32)
+    out = np.empty(n + 1, dtype=np.int32), np.empty(rows.size, dtype=np.int32), np.empty(rows.size)
+    _sparsetools.coo_tocsr(n, n, rows.size, cols, rows, np.asarray(data, dtype=np.float64), *out)
+    if not _sparsetools.csr_has_sorted_indices(n, *out[:2]):
+        _sparsetools.csr_sort_indices(n, *out)
+    _sparsetools.csr_sum_duplicates(n, n, *out)
+    return _trimmed(*out)
+
+
+def _column_sums(m):
+    """``m.sum(axis=0)``: ``np.add.reduceat`` over the nonempty columns."""
+    sums = np.zeros(len(m[0]) - 1)
+    nonempty = np.flatnonzero(np.diff(m[0]))
+    sums[nonempty] = np.add.reduceat(m[2], m[0][nonempty])
+    return sums
+
+
+def _binop(op: str, a, b):
+    """``a + b`` (op ``"plus"``) or ``a - b`` (``"minus"``); zero results are dropped."""
+    n = len(a[0]) - 1
+    args, out = _kernel_args(n, len(a[1]) + len(b[1]), a, b)
+    getattr(_sparsetools, f"csr_{op}_csr")(n, n, *args, *out)
+    return _trimmed(*out)
+
+
+def _normalize_columns(m):
+    """``(m + fix) @ diags(1 / sums)``: add a self-loop of weight 1 to each
+    empty column, then divide each column by its (nonzero) sum."""
+    sums = _column_sums(m)
+    empty = np.flatnonzero(sums == 0)
     if empty.size:
-        fix = sparse.csc_matrix(
-            (np.ones(empty.size), (empty, empty)), shape=m.shape, dtype=np.float64
-        )
-        m = (m + fix).tocsc()
-        sums = np.asarray(m.sum(axis=0)).ravel()
-    return _product(m, sparse.diags(1.0 / sums, format="csc"))
+        m = _binop("plus", m, _assemble(empty, empty, np.ones(empty.size), len(sums)))
+        sums = _column_sums(m)
+    eye = np.arange(len(sums) + 1, dtype=np.int32)
+    return _product(m, (eye, eye[:-1], 1.0 / sums), len(sums))
 
 
-def _product(a: sparse.csc_matrix, b: sparse.csc_matrix) -> sparse.csc_matrix:
-    """``a @ b`` by the numeric kernel ``@`` ends in, without its
-    symbolic pass.
-
-    ``_cs_matrix._matmul_sparse`` first counts the product's entries
-    exactly (``csr_matmat_maxnnz``), then fills buffers of that size
-    (``csr_matmat``). Here the buffers are sized by a bound instead:
-    output column j holds at most min(n_rows, sum of nnz(a[:, k]) over
-    the k stored in b[:, j]) entries. The kernel is called with the
-    CSC-swapped arguments ``@`` passes, so it sums in the same order,
-    emits indices in the same (unsorted) order and drops the same exact
-    zeros; the buffers are then trimmed to ``indptr[-1]``.
-    """
-    n_rows, n_cols = a.shape[0], b.shape[1]
-    reach = np.concatenate(([0], np.cumsum(np.diff(a.indptr)[b.indices])))[b.indptr]
-    bound = int(np.minimum(np.diff(reach), n_rows).sum())
-    idx = np.result_type(a.indptr, a.indices, b.indptr, b.indices, np.int32)
-    if bound > np.iinfo(np.int32).max:
-        idx = np.int64
-    indptr = np.empty(n_cols + 1, dtype=idx)
-    indices = np.empty(bound, dtype=idx)
-    data = np.empty(bound, dtype=np.result_type(a.dtype, b.dtype))
-    _sparsetools.csr_matmat(
-        n_cols, n_rows,
-        b.indptr.astype(idx, copy=False), b.indices.astype(idx, copy=False), b.data,
-        a.indptr.astype(idx, copy=False), a.indices.astype(idx, copy=False), a.data,
-        indptr, indices, data,
-    )
-    nnz = indptr[-1]
-    return sparse.csc_matrix((data[:nnz], indices[:nnz], indptr), shape=(n_rows, n_cols))
+def _product(a, b, n_rows: int):
+    """``a @ b`` for an ``n_rows``-row ``a`` by ``csr_matmat``, the kernel
+    ``@`` ends in, with ``@``'s (CSC-swapped) arguments, but sized by a
+    bound instead of ``@``'s exact symbolic count (``csr_matmat_maxnnz``,
+    Gustavson 1978): column j holds at most min(n_rows, sum of
+    nnz(a[:, k]) over the k stored in b[:, j]) entries."""
+    n_cols = len(b[0]) - 1
+    reach = np.concatenate(([0], np.cumsum(np.diff(a[0])[b[1]])))[b[0]]
+    args, out = _kernel_args(n_cols, int(np.minimum(np.diff(reach), n_rows).sum()), b, a)
+    _sparsetools.csr_matmat(n_cols, n_rows, *args, *out)
+    return _trimmed(*out)
 
 
-def _rescale_prune_rescale(m: sparse.csc_matrix, prune: float) -> sparse.csc_matrix:
+def _rescale_prune_rescale(m, prune: float):
     """Normalize the columns, drop entries below ``prune``, normalize
     again: bit-identical to ``_normalize_columns`` on both sides of the
-    prune, without its two diagonal-matrix products.
-
-    ``_normalize_columns`` multiplies by a diagonal matrix, and scipy's
-    sparse product emits each column's entries in reverse storage order,
-    so its second column sums add each column backwards. The second sums
-    here read each column reversed; the two reversals of that route
-    cancel, so the entries stay in storage order. A column that is or
-    becomes empty needs ``_normalize_columns``' self-loop, so such a step
-    takes that route.
-    """
-    counts = np.diff(m.indptr)
+    prune, without its diagonal products. That route's first product
+    reverses each column, so its second sums add it backwards: the
+    second sums here read each column reversed. A column that is or
+    becomes empty needs the self-loop, so such a step takes that route."""
+    indptr, indices, data = m
+    n = len(indptr) - 1
+    counts = np.diff(indptr)
     if counts.all():
-        col = np.repeat(np.arange(m.shape[1]), counts)
-        sums = np.add.reduceat(m.data, m.indptr[:-1])
+        col = np.repeat(np.arange(n), counts)
+        sums = np.add.reduceat(data, indptr[:-1])
         if sums.all():
-            data = m.data * (1.0 / sums)[col]
+            data = data * (1.0 / sums)[col]
             keep = (data >= prune) & (data != 0.0)
-            data, indices, col = data[keep], m.indices[keep], col[keep]
-            counts = np.bincount(col, minlength=m.shape[1])
+            data, indices, col = data[keep], indices[keep], col[keep]
+            counts = np.bincount(col, minlength=n)
             if counts.all():
-                indptr = np.concatenate(([0], np.cumsum(counts))).astype(m.indptr.dtype)
+                indptr = np.concatenate(([0], np.cumsum(counts))).astype(indptr.dtype)
                 reverse = (indptr[:-1] + indptr[1:] - 1)[col] - np.arange(col.size)
                 data *= (1.0 / np.add.reduceat(data[reverse], indptr[:-1]))[col]
-                out = sparse.csc_matrix((data, indices, indptr), shape=m.shape)
-                out.eliminate_zeros()  # the product route drops underflows too
-                return out
-    m = _normalize_columns(m)
-    m.data[m.data < prune] = 0.0
-    m.eliminate_zeros()
-    return _normalize_columns(m)
+                _sparsetools.csr_eliminate_zeros(n, n, indptr, indices, data)  # the product route drops underflows too
+                return _trimmed(indptr, indices, data)
+    indptr, indices, data = _normalize_columns(m)
+    data[data < prune] = 0.0
+    _sparsetools.csr_eliminate_zeros(n, n, indptr, indices, data)  # m.eliminate_zeros()
+    return _normalize_columns(_trimmed(indptr, indices, data))
 
 
 def flow(
-    graph: WeightedGraph,
-    inflation: float,
-    expansion: int,
-    prune: float,
-    max_iter: int,
-    tol: float,
-    self_loop: float,
+    graph: WeightedGraph, inflation: float, expansion: int, prune: float, max_iter: int, tol: float, self_loop: float
 ) -> tuple[list[int], bool, int]:
-    """The iteration of :func:`~wordhom.clustering.markov_clusters`, on
-    checked parameters: the raw labels, whether it converged, and the
-    number of rounds."""
+    """The iteration of :func:`~wordhom.clustering.markov_clusters` on checked
+    parameters: the raw labels, whether it converged, and the rounds."""
     n = graph.n
     if n == 0:
         return [], True, 0
-
-    rows, cols, data = [], [], []
-    edges = graph.pair_sorted_edges()
-    wmax = max((w for _, _, w in edges), default=0.0) or 1.0  # all weights 0 (every d = 1): self-loops only
-    for i, j, w in edges:
-        rows.extend((i, j))
-        cols.extend((j, i))
-        data.extend((w / wmax, w / wmax))
-    for v in range(n):
-        rows.append(v)
-        cols.append(v)
-        data.append(float(self_loop))
-    m = sparse.csc_matrix((data, (rows, cols)), shape=(n, n), dtype=np.float64)
-    m = _normalize_columns(m)
-
-    converged = False
-    n_iter = 0
+    i, j, w = np.array(graph.pair_sorted_edges(), dtype=np.float64).reshape(-1, 3).T
+    w = w / (w.max(initial=0.0) or 1.0)  # all weights 0 (every d = 1): self-loops only
+    loops = np.arange(n)
+    data = np.concatenate((w, w, np.full(n, float(self_loop))))
+    m = _normalize_columns(_assemble(np.concatenate((i, j, loops)), np.concatenate((j, i, loops)), data, n))
     for n_iter in range(1, max_iter + 1):
-        prev = m
-        powered = m
+        prev = powered = m
         for _ in range(expansion - 1):
-            powered = _product(powered, m)
-        powered.data = np.power(powered.data, inflation)
-        m = _rescale_prune_rescale(powered, prune)
-        delta = (m - prev).tocsc()
-        change = float(np.abs(delta.data).max()) if delta.nnz else 0.0
-        if change < tol:
-            converged = True
-            break
-
-    return _markov_labels(m.tocsr(), n), converged, n_iter
+            powered = _product(powered, m, n)
+        m = _rescale_prune_rescale((*powered[:2], np.power(powered[2], inflation)), prune)
+        delta = _binop("minus", m, prev)[2]
+        if (float(np.abs(delta).max()) if delta.size else 0.0) < tol:
+            return _markov_labels(m, n), True, n_iter
+    return _markov_labels(m, n), False, max_iter
 
 
-def _markov_labels(m: sparse.csr_matrix, n: int) -> list[int]:
-    """Interpret a converged flow matrix: attractors (nonzero diagonal)
-    are joined into systems along their mutual support, and every
-    vertex follows the attractors feeding it; overlaps resolve to the
-    lowest-labeled system."""
-    diag = m.diagonal()
-    attractors = [int(v) for v in np.nonzero(diag > 0)[0]]
-    attractor_set = set(attractors)
+def _markov_labels(m, n: int) -> list[int]:
+    """Interpret a converged flow matrix: attractors (positive diagonal)
+    join into systems along their mutual support, and every vertex follows
+    the attractors feeding it, the lowest-labeled system on overlap; a
+    vertex fed by none gets its own label, counting up from ``n``."""
+    indptr, indices, data = m
+    col = np.repeat(np.arange(n), np.diff(indptr))
+    on_diagonal = indices == col
+    attractor = np.bincount(col[on_diagonal], weights=data[on_diagonal], minlength=n) > 0
     uf = UnionFind(n)
-    for a in attractors:
-        for b in m.indices[m.indptr[a] : m.indptr[a + 1]]:
-            if int(b) in attractor_set:
-                uf.union(a, int(b))
-    system_label: dict[int, int] = {}
-    for a in attractors:
-        root = uf.find(a)
-        system_label[root] = min(system_label.get(root, a), a)
-
-    csc = m.tocsc()
-    labels = []
-    next_free = n  # singleton labels for unsupported vertices
-    for v in range(n):
-        rows = csc.indices[csc.indptr[v] : csc.indptr[v + 1]]
-        owners = [system_label[uf.find(int(r))] for r in rows if int(r) in attractor_set]
-        if owners:
-            labels.append(min(owners))
-        else:
-            labels.append(next_free)
-            next_free += 1
-    return labels
+    mutual = attractor[indices] & attractor[col]
+    for r, c in zip(indices[mutual].tolist(), col[mutual].tolist()):
+        uf.union(r, c)
+    owner, lowest = np.full(n, n), {}  # owner n: not an attractor
+    for a in np.flatnonzero(attractor).tolist():  # ascending, so the first of a system is its lowest
+        owner[a] = lowest.setdefault(uf.find(a), a)
+    labels = np.full(n, n)
+    np.minimum.at(labels, col, owner[indices])
+    unsupported = labels == n
+    labels[unsupported] = n + np.arange(np.count_nonzero(unsupported))
+    return labels.tolist()

@@ -531,3 +531,22 @@ def test_vr_commands_leave_numpy_unloaded(tmp_path):
     loaded = heavy_modules_loaded_by(script)
     assert not [m for m in loaded if m == "numpy" or m.startswith("numpy.")], loaded
     assert (tmp_path / "out.cyc.tsv").read_text().count("\n") > 1
+
+
+def test_markov_flow_leaves_scipy_sparse_unloaded(cliques_tsv, tmp_path):
+    """Markov flow calls scipy's compiled sparse kernels without running
+    ``scipy.sparse``'s ``__init__``: the kernel extension is the only
+    module under ``scipy.sparse`` that a flow, an MCL sweep and
+    ``wordhom cluster --method mcl`` load."""
+    out = str(tmp_path / "mcl.tsv")
+    script = "\n".join(
+        [
+            "from wordhom import cli, markov_clusters, sweep, synthetic_corpus",
+            "g = synthetic_corpus(n_words=60).to_dissimilarity()",
+            "assert markov_clusters(g, 2.0).converged",
+            "assert len(sweep(g, 'mcl', [1.4, 2.0], prune=0.3, self_loop=0.0).rows) == 2",
+            f"assert cli.main(['cluster', '--in', {cliques_tsv!r}, '--method', 'mcl', '--out', {out!r}]) == 0",
+        ]
+    )
+    assert heavy_modules_loaded_by(script, ("scipy.sparse",)) == ["scipy.sparse._sparsetools"]
+    assert (tmp_path / "mcl.tsv").read_text().count("\n") > 10

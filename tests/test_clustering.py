@@ -185,11 +185,11 @@ def test_inflation_step_equals_normalize_route(n, seed, prune, inflation):
     a.data = a.data ** 4  # spread the scale so prunes and underflows happen
     m = (a @ sparse.random(n, n, density=0.6, random_state=rng, format="csc")).tocsc()
     m.data = np.power(m.data, inflation)
-    expected = _normalize_columns(m.copy())
+    expected = as_csc(sparse, _normalize_columns(parts(m)), m.shape)
     expected.data[expected.data < prune] = 0.0
     expected.eliminate_zeros()
-    expected = _normalize_columns(expected)
-    got = _rescale_prune_rescale(m.copy(), prune)
+    expected = as_csc(sparse, _normalize_columns(parts(expected)), m.shape)
+    got = as_csc(sparse, _rescale_prune_rescale(parts(m), prune), m.shape)
     for name in ("indptr", "indices", "data"):
         assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
@@ -266,6 +266,18 @@ def csc_with_unsorted_indices(np, sparse, rng, shape, density, empty_cols):
     return m
 
 
+def parts(m):
+    """A copy of a CSC matrix's ``(indptr, indices, data)``, the form in
+    which Markov flow holds its matrices."""
+    return m.indptr.copy(), m.indices.copy(), m.data.copy()
+
+
+def as_csc(sparse, arrays, shape):
+    """The CSC matrix of Markov flow's ``(indptr, indices, data)``."""
+    indptr, indices, data = arrays
+    return sparse.csc_matrix((data, indices, indptr), shape=shape)
+
+
 def same_arrays(got, expected):
     return (
         got.shape == expected.shape
@@ -295,40 +307,160 @@ def test_product_equals_matmul(n, k, m, seed, density, empty_cols):
     rng = np.random.default_rng(seed)
     a = csc_with_unsorted_indices(np, sparse, rng, (n, k), density, empty_cols)
     b = csc_with_unsorted_indices(np, sparse, rng, (k, m), density, empty_cols)
-    assert same_arrays(_product(a, b), (a @ b).tocsc())
+    assert same_arrays(as_csc(sparse, _product(parts(a), parts(b), n), (n, m)), (a @ b).tocsc())
     # a chained square product, as an expansion=3 round takes it
     s = csc_with_unsorted_indices(np, sparse, rng, (n, n), density, empty_cols)
-    assert same_arrays(_product(_product(s, s), s), ((s @ s).tocsc() @ s).tocsc())
+    chained = _product(_product(parts(s), parts(s), n), parts(s), n)
+    assert same_arrays(as_csc(sparse, chained, (n, n)), ((s @ s).tocsc() @ s).tocsc())
     # a diagonal right-hand side, as ``_normalize_columns`` scales by
     d = sparse.diags(1.0 / rng.uniform(0.01, 10.0, k), format="csc")
-    assert same_arrays(_product(a, d), (a @ d).tocsc())
+    assert same_arrays(as_csc(sparse, _product(parts(a), parts(d), n), (n, k)), (a @ d).tocsc())
 
 
 def test_mcl_makes_no_symbolic_product_pass(monkeypatch):
     """Markov flow sizes its products by a bound, never by scipy's
-    symbolic pass (which ``@`` runs before every sparse product)."""
-    sparse = pytest.importorskip("scipy.sparse")
-    from scipy.sparse import _compressed, _sparsetools
+    symbolic pass (which ``@`` runs before every sparse product): the
+    kernel module Markov flow holds sees numeric products, fixes of
+    empty columns and no symbolic pass."""
+    pytest.importorskip("scipy")
+    from wordhom import markov
 
-    calls = []
-    symbolic = _sparsetools.csr_matmat_maxnnz
+    calls = {"csr_matmat_maxnnz": 0, "csr_matmat": 0, "csr_plus_csr": 0}
+    for name in calls:
+        kernel = getattr(markov._sparsetools, name)
 
-    def counting_maxnnz(*args):
-        calls.append(args[:2])
-        return symbolic(*args)
+        def counting(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*args)
 
-    for module in (_sparsetools, _compressed):
-        monkeypatch.setattr(module, "csr_matmat_maxnnz", counting_maxnnz)
-    eye = sparse.identity(2, format="csc")
-    eye @ eye  # the counter is live: ``@`` goes through it
-    assert len(calls) == 1
-    calls.clear()
+        monkeypatch.setattr(markov._sparsetools, name, counting)
     g = random_weighted_graph(random.Random(3), n_min=30, n_max=30)
     for expansion in (2, 3):
         markov_clusters(g, 2.0, expansion=expansion)
         markov_clusters(g, 1.2, expansion=expansion, prune=0.3)  # columns emptied: self-loop route
     sweep(g, "mcl", [1.4, 2.0])
-    assert calls == []
+    assert calls["csr_matmat"] > 0 and calls["csr_plus_csr"] > 0  # the counters are live
+    assert calls["csr_matmat_maxnnz"] == 0
+
+
+def scipy_normalize_columns(np, sparse, m):
+    """Column normalization by scipy's operators, as Markov flow took it
+    before it held raw arrays: ``m + fix`` gives each empty column a
+    self-loop, then ``@`` a diagonal matrix divides by the column sums."""
+    sums = np.asarray(m.sum(axis=0)).ravel()
+    empty = np.nonzero(sums == 0)[0]
+    if empty.size:
+        fix = sparse.csc_matrix((np.ones(empty.size), (empty, empty)), shape=m.shape, dtype=np.float64)
+        m = (m + fix).tocsc()
+        sums = np.asarray(m.sum(axis=0)).ravel()
+    return (m @ sparse.diags(1.0 / sums, format="csc")).tocsc()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+    st.integers(0, 3),
+    st.sampled_from([0.0, 0.2, 1.0]),
+)
+def test_array_helpers_equal_the_scipy_operators(n, seed, density, empty_cols, zero_share):
+    """Each array helper of Markov flow against the scipy.sparse operator
+    it stands for, kept here as the oracle, array for array: assembly,
+    column sums, the self-loop fix, scaling and the convergence delta.
+    Inputs have unsorted indices, explicit zeros (as a weight-0 edge
+    gives) and empty columns."""
+    np = pytest.importorskip("numpy")
+    sparse = pytest.importorskip("scipy.sparse")
+    from wordhom.markov import _assemble, _binop, _column_sums, _normalize_columns
+
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(0, 3 * n + 1))
+    rows, cols = rng.integers(0, n, size), rng.integers(0, n, size)  # unsorted, with duplicates
+    data = np.where(rng.random(size) < zero_share, 0.0, rng.uniform(0.0, 1.0, size))
+    assembled = sparse.csc_matrix((data, (rows, cols)), shape=(n, n), dtype=np.float64)
+    assert same_arrays(as_csc(sparse, _assemble(rows, cols, data, n), (n, n)), assembled)
+    # a sorted column of duplicates, which scipy sums without sorting again
+    rows, spread = np.sort(rng.integers(0, n, 40)), rng.uniform(0.0, 1.0, 40) * 10.0 ** rng.integers(-8, 8, 40)
+    sorted_dups = sparse.csc_matrix((spread, (rows, np.zeros(40, dtype=int))), shape=(n, n), dtype=np.float64)
+    assert same_arrays(as_csc(sparse, _assemble(rows, np.zeros(40), spread, n), (n, n)), sorted_dups)
+
+    for m in (assembled, csc_with_unsorted_indices(np, sparse, rng, (n, n), density, empty_cols)):
+        m.data[rng.random(m.nnz) < zero_share] = 0.0  # explicit zeros; a column may sum to 0
+        sums = np.asarray(m.sum(axis=0)).ravel()
+        assert _column_sums(parts(m)).tobytes() == sums.tobytes()
+        empty = np.nonzero(sums == 0)[0]
+        fix = sparse.csc_matrix((np.ones(empty.size), (empty, empty)), shape=(n, n), dtype=np.float64)
+        assert same_arrays(as_csc(sparse, _binop("plus", parts(m), parts(fix)), (n, n)), (m + fix).tocsc())
+        expected = scipy_normalize_columns(np, sparse, m)
+        assert same_arrays(as_csc(sparse, _normalize_columns(parts(m)), (n, n)), expected)
+        for a, b in ((expected, m), (m, expected), (expected, expected)):
+            assert same_arrays(as_csc(sparse, _binop("minus", parts(a), parts(b)), (n, n)), (a - b).tocsc())
+
+
+def plain_markov_labels(dense):
+    """The reading of a flow matrix, by definition, on a dense matrix:
+    attractors have a positive diagonal; two attractors share a system
+    when either feeds the other; a system is labelled by its lowest
+    attractor; a vertex takes the lowest label among the systems of the
+    attractors feeding it, and a vertex fed by none the next free label
+    from n."""
+    n = len(dense)
+    attractors = [a for a in range(n) if dense[a][a] > 0]
+    system = {a: a for a in attractors}
+    changed = True
+    while changed:  # spread the lowest label through each system
+        changed = False
+        for a in attractors:
+            for b in attractors:
+                if (dense[a][b] or dense[b][a]) and system[b] < system[a]:
+                    system[a], changed = system[b], True
+    labels, next_free = [], n
+    for v in range(n):
+        owners = [system[r] for r in attractors if dense[r][v]]
+        if owners:
+            labels.append(min(owners))
+        else:
+            labels.append(next_free)
+            next_free += 1
+    return labels
+
+
+def test_markov_labels_lowest_attractor_overlaps_and_singletons():
+    """Attractors 1 and 3 form one system, joined by ``union(3, 1)``,
+    which roots it at 3; it is labelled 1 all the same. Vertex 0 is fed
+    by that system and by attractor 4's, and takes 1. Vertex 2 is fed
+    only by a non-attractor and vertex 5 by nothing: they get 6 and 7."""
+    np = pytest.importorskip("numpy")
+    sparse = pytest.importorskip("scipy.sparse")
+    from wordhom.markov import _markov_labels
+
+    dense = np.zeros((6, 6))
+    dense[1, 1] = dense[3, 1] = 0.5  # column 1: attractor 1, fed by 3
+    dense[3, 3] = 1.0
+    dense[4, 4] = 1.0
+    dense[3, 0] = dense[4, 0] = 0.5  # vertex 0 fed by both systems
+    dense[0, 2] = 1.0  # vertex 2 fed by vertex 0 only
+    m = sparse.csc_matrix(dense)
+    assert _markov_labels(parts(m), 6) == plain_markov_labels(dense.tolist()) == [1, 1, 6, 1, 4, 7]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.3, 0.6]), st.sampled_from([0.2, 0.5, 0.9]))
+def test_markov_labels_match_plain_reference(n, seed, density, attractor_share):
+    np = pytest.importorskip("numpy")
+    sparse = pytest.importorskip("scipy.sparse")
+    from wordhom.markov import _markov_labels
+
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((n, n)) < density, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+    np.fill_diagonal(dense, np.where(rng.random(n) < attractor_share, 1.0, 0.0))
+    m = sparse.csc_matrix(dense)
+    for j in range(n):  # store each column in a shuffled order
+        lo, hi = m.indptr[j], m.indptr[j + 1]
+        order = lo + rng.permutation(hi - lo)
+        m.indices[lo:hi], m.data[lo:hi] = m.indices[order], m.data[order]
+    assert _markov_labels(parts(m), n) == plain_markov_labels(dense.tolist())
 
 
 def test_modularity_one_cluster_is_zero():
