@@ -13,23 +13,18 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "chains": (
-        "Chain", "boundary_chain", "boundary_simplex", "chain_add", "chain_neg", "chain_scale", "zero_chain",
-    ),
+    "chains": ("Chain", "boundary_chain"),
     "clustering": (
         "Clustering", "MarkovResult", "SweepResult", "SweepRow", "UnionFind",
         "markov_clusters", "modularity", "persistence_clusters", "sweep", "threshold_clusters",
     ),
-    "complexes": (
-        "Filtration", "SimplexBudgetError", "WeightedGraph",
-        "build_vr_filtration", "face_closure", "validate_complex",
-    ),
+    "complexes": ("Filtration", "SimplexBudgetError", "WeightedGraph", "build_vr_filtration"),
     "corpus": ("AssociationCorpus", "DataFormatError", "parse_edge_list", "parse_stimulus_counts"),
     "estimators": ("MarkovClustering", "PersistenceClustering", "ThresholdClustering", "VietorisRipsPersistence"),
     "fields": ("PrimeField",),
-    "homology": ("CosetReducer", "betti_at", "betti_numbers", "betti_of_complex", "homology_basis", "rank_mod_p"),
+    "homology": ("betti_at", "betti_of_complex", "rank_mod_p"),
     "reduction": ("Barcode", "Interval", "ReducedFiltration", "reduce_filtration"),
-    "simplices": ("Simplex", "canonicalize"),
+    "simplices": ("Simplex",),
     "svg": ("render_barcode_svg",),
     "synthetic": ("synthetic_corpus",),
 }

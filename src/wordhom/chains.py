@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Mapping
 
 from .fields import PrimeField
@@ -87,39 +86,6 @@ class Chain:
             return f"Chain({self.dim}, 0)"
         body = " + ".join(f"{a}*{list(s.vertices)}" for s, a in self.items())
         return f"Chain({self.dim}, {body})"
-
-
-def zero_chain(dim: int) -> Chain:
-    return Chain(dim)
-
-
-def chain_add(c1: Chain, c2: Chain, field: PrimeField) -> Chain:
-    """Termwise field addition; zero results are dropped."""
-    if c1.dim != c2.dim:
-        raise ValueError(f"cannot add chains of dimensions {c1.dim} and {c2.dim}")
-    return Chain.from_items(chain(c1._terms.items(), c2._terms.items()), field, c1.dim)
-
-
-def chain_scale(a: int, c: Chain, field: PrimeField) -> Chain:
-    """Multiply every coefficient by ``a``; a = 0 yields the zero chain."""
-    a = field.normalize(a)
-    if a == 0:
-        return Chain(c.dim)
-    if a == 1:
-        return c
-    return Chain(c.dim, {s: field.mul(a, v) for s, v in c._terms.items()})
-
-
-def chain_neg(c: Chain, field: PrimeField) -> Chain:
-    return chain_scale(field.p - 1, c, field)
-
-
-def boundary_simplex(s: Simplex, field: PrimeField) -> Chain:
-    """Alternating sum of the codimension-1 faces of one simplex.
-
-    The boundary of a 0-simplex is the empty chain.
-    """
-    return boundary_chain(Chain(s.dim, {s: 1}), field)
 
 
 def boundary_chain(c: Chain, field: PrimeField) -> Chain:

@@ -449,11 +449,13 @@ def sweep(
     and persistence sweeps visit the grid in ascending order in one
     process and share one edge sort, vertex births and modularity
     scorer (see ``_threshold_rows`` and ``_persistence_rows``). Only MCL
-    points are fanned out over ``jobs`` worker processes.
+    points are fanned out, over ``min(jobs, len(grid))`` worker processes.
     """
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("sweep needs a non-empty parameter grid")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if method not in SWEEP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {SWEEP_METHODS}")
     if method == "threshold":
@@ -463,10 +465,11 @@ def sweep(
     for inflation in grid:  # the first point's call checks the shared parameters
         _check_inflation(inflation)
     tasks = [(graph, param, params) for param in grid]
-    if jobs > 1:
+    workers = min(jobs, len(grid))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_mcl_point, tasks))
     else:
         points = [_mcl_point(t) for t in tasks]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .simplices import Simplex
@@ -145,9 +145,6 @@ class WeightedGraph:
     def total_weight(self) -> float:
         return float(sum(self._w.values()))
 
-    def scaled(self, factor: float) -> "WeightedGraph":
-        return WeightedGraph(self.n, {e: w * factor for e, w in self._w.items()})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WeightedGraph)
@@ -235,32 +232,20 @@ class Filtration:
         cut = bisect_right(self.births, eps)
         return {s for s, _ in self.entries[:cut]}
 
-    def event_values(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.births)))
-
     @cached_property
     def _position(self) -> dict[tuple[int, ...], int]:
         """Position of each vertex tuple (its last, if listed twice)."""
         return dict(zip(self.vertices, range(len(self.vertices))))
 
-    @cached_property
-    def face_positions(self) -> tuple[tuple[int | None, ...], ...]:
-        """Per simplex, the positions of its codimension-1 faces in
-        vertex-omission order, the reverse of ``combinations`` (None if absent)."""
-        get = self._position.get
-        return tuple(
-            tuple(map(get, combinations(vs, len(vs) - 1)))[::-1] if len(vs) > 1 else ()
-            for vs in self.vertices
-        )
-
     def _violations(self) -> Iterator[tuple[int, str]]:
         """Each missing face, or face born after its simplex, with the
         position of that simplex. A face placed after its simplex is
         born after it: the order puts a face born with its simplex first."""
-        for i, faces in enumerate(self.face_positions):
-            for j, f in enumerate(faces):
+        get = self._position.get
+        for i, vs in enumerate(self.vertices):
+            for j in range(len(vs) if len(vs) > 1 else 0):
+                f = get(vs[:j] + vs[j + 1 :])
                 if f is None or f > i:
-                    vs = self.vertices[i]
                     s, face = Simplex(vs), Simplex(vs[:j] + vs[j + 1 :])
                     if f is None:
                         yield i, f"{s!r} present without its face {face!r}"
@@ -348,28 +333,3 @@ def _in_order(rows: list[tuple[float, int, tuple[int, ...]]]) -> tuple[tuple, tu
     """Vertex tuples and births of (birth, vertex count, vertices) rows, sorted."""
     rows.sort()
     return tuple(vs for _, _, vs in rows), tuple(b for b, _, _ in rows)
-
-
-def face_closure(simplices: Iterable[Simplex]) -> set[Simplex]:
-    """Close a simplex collection under taking faces."""
-    out: set[Simplex] = set()
-    stack = list(simplices)
-    while stack:
-        s = stack.pop()
-        if s in out:
-            continue
-        out.add(s)
-        stack.extend(s.faces())
-    return out
-
-
-def validate_complex(simplices: Iterable[Simplex]) -> list[tuple[Simplex, Simplex]]:
-    """List every (simplex, missing face) pair; empty means face-closed."""
-    present = set(simplices)
-    violations = []
-    for s in present:
-        for face in s.faces():
-            if face not in present:
-                violations.append((s, face))
-    violations.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
-    return violations

@@ -1,9 +1,11 @@
-"""Homology at a fixed scale via dense Gaussian elimination mod p.
+"""Betti numbers of a fixed complex via dense Gaussian elimination mod p.
 
-This is the rank/nullity route: Betti numbers, homology bases, and
-coset reduction computed directly from boundary matrices of one
-complex. It is deliberately independent of the column-reduction
-pipeline in :mod:`wordhom.reduction`, so the two can check each other.
+This is the rank/nullity route behind :func:`betti_at`: the k-th Betti
+number is the nullity of the k-boundary matrix minus the rank of the
+(k+1)-boundary matrix. It shares no code with the column reduction in
+:mod:`wordhom.reduction`, so the two can check each other. The rest of
+the dense oracle (homology bases, coset representatives and chain
+arithmetic) is used only by the tests and lives with them.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chains import Chain, boundary_chain
-from .complexes import validate_complex
 from .fields import PrimeField
 from .simplices import Simplex
 
@@ -52,64 +52,6 @@ def rank_mod_p(matrix: Sequence[Sequence[int]] | np.ndarray, p: int) -> int:
     return len(pivots)
 
 
-def kernel_basis_mod_p(matrix: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the null space of a matrix over Z/p, one vector per free column."""
-    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
-    rows, cols = a.shape
-    if cols == 0:
-        return []
-    rref, pivots = _row_reduce(a, p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = np.zeros(cols, dtype=np.int64)
-        v[free] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-rref[r, free]) % p
-        basis.append(v)
-    return basis
-
-
-class EchelonSpan:
-    """Incrementally echelonized span of vectors in (Z/p)^n.
-
-    ``residual(v)`` returns the unique representative of v modulo the
-    span with zeros at every pivot coordinate, so two vectors have
-    equal residuals exactly when they differ by a span element.
-    """
-
-    def __init__(self, n: int, p: int):
-        self.n = n
-        self.p = p
-        self._rows: dict[int, np.ndarray] = {}
-
-    def residual(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.int64) % self.p
-        if v.shape != (self.n,):
-            raise ValueError(f"expected a vector of length {self.n}")
-        v = v.copy()
-        for c in sorted(self._rows):
-            if v[c]:
-                v = (v - v[c] * self._rows[c]) % self.p
-        return v
-
-    def insert(self, v: np.ndarray) -> bool:
-        """Add v to the span; False when v was already contained."""
-        r = self.residual(v)
-        lead = np.nonzero(r)[0]
-        if lead.size == 0:
-            return False
-        c = int(lead[0])
-        self._rows[c] = r * pow(int(r[c]), self.p - 2, self.p) % self.p
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-
 def simplices_by_dim(simplices: Iterable[Simplex]) -> dict[int, list[Simplex]]:
     """Simplices grouped by dimension, each group sorted."""
     by_dim: dict[int, list[Simplex]] = {}
@@ -132,19 +74,6 @@ def boundary_matrix(
         for j, face in enumerate(s.faces()):
             a[index[face], col] = 1 if j % 2 == 0 else p - 1
     return a
-
-
-def _chain_to_vector(c: Chain, index: dict[Simplex, int]) -> np.ndarray:
-    v = np.zeros(len(index), dtype=np.int64)
-    for s, a in c.items():
-        if s not in index:
-            raise ValueError(f"{s!r} is not a simplex of the complex")
-        v[index[s]] = a
-    return v
-
-
-def _vector_to_chain(v: np.ndarray, simplices: Sequence[Simplex], dim: int) -> Chain:
-    return Chain(dim, {simplices[i]: int(a) for i, a in enumerate(v) if a})
 
 
 def betti_of_complex(simplices: Iterable[Simplex], k: int, field: PrimeField) -> int:
@@ -171,84 +100,3 @@ def betti_of_complex(simplices: Iterable[Simplex], k: int, field: PrimeField) ->
 def betti_at(filtration, eps: float, k: int, field: PrimeField) -> int:
     """k-th Betti number of the complex at scale eps."""
     return betti_of_complex(filtration.complex_at(eps), k, field)
-
-
-def betti_numbers(simplices: Iterable[Simplex], max_k: int, field: PrimeField) -> tuple[int, ...]:
-    sims = set(simplices)
-    return tuple(betti_of_complex(sims, k, field) for k in range(max_k + 1))
-
-
-class CosetReducer:
-    """Canonical representatives of homology classes at one scale.
-
-    Reduces cycles against an echelonized basis of the k-boundary
-    space: two cycles map to equal representatives exactly when their
-    difference is a sum of boundaries, which realizes coset addition
-    and scalar action on actual chains.
-    """
-
-    def __init__(self, simplices: Iterable[Simplex], k: int, field: PrimeField):
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        sims = set(simplices)
-        violations = validate_complex(sims)
-        if violations:
-            raise ValueError(f"input is not face-closed: {violations[:3]}")
-        by_dim = simplices_by_dim(sims)
-        self.k = k
-        self.field = field
-        self._k_simplices = by_dim.get(k, [])
-        self._index = {s: i for i, s in enumerate(self._k_simplices)}
-        self._boundaries = EchelonSpan(len(self._k_simplices), field.p)
-        for col in boundary_matrix(by_dim.get(k + 1, []), self._k_simplices, field.p).T:
-            self._boundaries.insert(col)
-
-    def is_cycle(self, c: Chain) -> bool:
-        return boundary_chain(c, self.field).is_zero
-
-    def representative(self, c: Chain) -> Chain:
-        """Reduce a k-cycle modulo the boundary space."""
-        if c.dim != self.k:
-            raise ValueError(f"expected a chain of dimension {self.k}, got {c.dim}")
-        if not self.is_cycle(c):
-            raise ValueError("chain is not a cycle (nonzero boundary)")
-        v = _chain_to_vector(c, self._index)
-        return _vector_to_chain(self._boundaries.residual(v), self._k_simplices, self.k)
-
-    def is_boundary(self, c: Chain) -> bool:
-        return self.representative(c).is_zero
-
-    def same_class(self, c1: Chain, c2: Chain) -> bool:
-        return self.representative(c1) == self.representative(c2)
-
-
-def homology_basis(simplices: Iterable[Simplex], k: int, field: PrimeField) -> list[Chain]:
-    """Cycle representatives of a basis of the k-th homology group.
-
-    The returned chains have zero boundary, are independent modulo the
-    boundary space, and there are exactly betti_of_complex(...) of them.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    sims = set(simplices)
-    violations = validate_complex(sims)
-    if violations:
-        raise ValueError(f"input is not face-closed: {violations[:3]}")
-    by_dim = simplices_by_dim(sims)
-    k_simplices = by_dim.get(k, [])
-    if not k_simplices:
-        return []
-    p = field.p
-    if k == 0:
-        kernel = [np.eye(len(k_simplices), dtype=np.int64)[i] for i in range(len(k_simplices))]
-    else:
-        kernel = kernel_basis_mod_p(boundary_matrix(k_simplices, by_dim[k - 1], p), p)
-    span = EchelonSpan(len(k_simplices), p)
-    for col in boundary_matrix(by_dim.get(k + 1, []), k_simplices, p).T:
-        span.insert(col)
-    generators = []
-    for z in kernel:
-        r = span.residual(z)
-        if span.insert(r):
-            generators.append(_vector_to_chain(r, k_simplices, k))
-    return generators

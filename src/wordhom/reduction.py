@@ -243,14 +243,16 @@ class ReducedFiltration:
         cached = self._boundary_cache.get(dim)
         if cached is not None:
             return cached
-        vertices, faces = self.filtration.vertices, self.filtration.face_positions
+        vertices, position = self.filtration.vertices, self.filtration._position
         essentials = [i for i in self.essentials if len(vertices[i]) == dim + 1]
         deaths = [j for _, j in self.pairs if len(vertices[j]) == dim + 1]
         owners: dict[int, Reduced] = {}
         columns: dict[int, Reduced] = {}
         for j in sorted(deaths + essentials):
             combo = _column((j,) if essentials else (), (0,), self.field.p)
-            col = _column(faces[j], range(dim + 1), self.field.p)
+            # faces in vertex-omission order, the reverse of combinations
+            faces = [position[f] for f in combinations(vertices[j], dim)][::-1] if dim else ()
+            col = _column(faces, range(dim + 1), self.field.p)
             low, col, combo = _reduce_column(col, _last_row, owners.get, self.field, combo)
             if low is not None:
                 owners[low] = (col, combo)

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class Simplex:
     """A k-simplex given by k+1 distinct vertex ids in increasing order.
 
-    Orientation is not stored here: an arbitrarily ordered vertex
-    sequence is normalized by :func:`canonicalize`, which returns the
-    canonical simplex together with the parity sign of the reordering.
+    Orientation is not stored here; an unordered vertex sequence is
+    refused rather than sorted.
     """
 
     __slots__ = ("vertices",)
@@ -24,10 +23,7 @@ class Simplex:
                 raise ValueError(f"vertex ids must be non-negative ints, got {v!r}")
         for a, b in zip(vs, vs[1:]):
             if a >= b:
-                raise ValueError(
-                    f"vertices must be strictly increasing, got {vs}; "
-                    "use canonicalize() for unordered input"
-                )
+                raise ValueError(f"vertices must be strictly increasing, got {vs}")
         object.__setattr__(self, "vertices", vs)
 
     def __setattr__(self, name, value):
@@ -65,23 +61,3 @@ class Simplex:
 
     def __repr__(self) -> str:
         return f"Simplex({list(self.vertices)})"
-
-
-def canonicalize(vertices: Sequence[int]) -> tuple[Simplex, int]:
-    """Sort a vertex sequence and report the parity of the reordering.
-
-    Returns ``(simplex, sign)`` with sign +1 when the input ordering
-    differs from the sorted one by an even number of transpositions,
-    -1 otherwise. Vertex sequences with duplicates are rejected.
-    A single vertex always carries sign +1.
-    """
-    vs = tuple(vertices)
-    if len(set(vs)) != len(vs):
-        raise ValueError(f"duplicate vertex ids in {vs}")
-    inversions = 0
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if vs[i] > vs[j]:
-                inversions += 1
-    sign = 1 if inversions % 2 == 0 else -1
-    return Simplex(sorted(vs)), sign

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from wordhom import Simplex, WeightedGraph, build_vr_filtration, face_closure
+from wordhom import Simplex, WeightedGraph, build_vr_filtration
+from oracle import face_closure
 
 
 def shell_arm_complex():

@@ -7,12 +7,8 @@ from wordhom import (
     PrimeField,
     Simplex,
     boundary_chain,
-    boundary_simplex,
-    chain_add,
-    chain_neg,
-    chain_scale,
-    zero_chain,
 )
+from oracle import boundary_simplex, chain_add, chain_neg, chain_scale, zero_chain
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -330,6 +331,15 @@ def test_sweep_default_grid_and_argmax(edges_tsv, tmp_path, capsys):
     assert [float(l.split("\t")[0]) for l in data] == pytest.approx([0.1, 0.25, 0.3, 0.6])
 
 
+def test_sweep_refuses_zero_jobs(edges_tsv, capsys):
+    argv = ["sweep", "--in", edges_tsv, "--method", "mcl", "--grid", "2", "--out", "-"]
+    for jobs in ("0", "-3"):
+        code, stdout, err = run(argv + ["--jobs", jobs], capsys)
+        assert code == 2
+        assert f"jobs must be >= 1, got {jobs}" in err
+        assert stdout == ""
+
+
 def test_sweep_mcl_requires_grid(edges_tsv, capsys):
     code, _, err = run(
         ["sweep", "--in", edges_tsv, "--method", "mcl", "--out", "-"], capsys
@@ -478,15 +488,21 @@ def test_import_loads_no_heavy_modules():
 
 
 PUBLIC_NAMES = [
-    "AssociationCorpus", "Barcode", "Chain", "Clustering", "CosetReducer", "DataFormatError", "Filtration",
-    "Interval", "MarkovClustering", "MarkovResult", "PersistenceClustering", "PrimeField", "ReducedFiltration",
-    "Simplex", "SimplexBudgetError", "SweepResult", "SweepRow", "ThresholdClustering", "UnionFind",
-    "VietorisRipsPersistence", "WeightedGraph", "betti_at", "betti_numbers", "betti_of_complex", "boundary_chain",
-    "boundary_simplex", "build_vr_filtration", "canonicalize", "chain_add", "chain_neg", "chain_scale",
-    "face_closure", "homology_basis", "markov_clusters", "modularity", "parse_edge_list", "parse_stimulus_counts",
-    "persistence_clusters", "rank_mod_p", "reduce_filtration", "render_barcode_svg", "sweep", "synthetic_corpus",
-    "threshold_clusters", "validate_complex", "zero_chain",
+    "AssociationCorpus", "Barcode", "Chain", "Clustering", "DataFormatError", "Filtration", "Interval",
+    "MarkovClustering", "MarkovResult", "PersistenceClustering", "PrimeField", "ReducedFiltration", "Simplex",
+    "SimplexBudgetError", "SweepResult", "SweepRow", "ThresholdClustering", "UnionFind", "VietorisRipsPersistence",
+    "WeightedGraph", "betti_at", "betti_of_complex", "boundary_chain", "build_vr_filtration", "markov_clusters",
+    "modularity", "parse_edge_list", "parse_stimulus_counts", "persistence_clusters", "rank_mod_p",
+    "reduce_filtration", "render_barcode_svg", "sweep", "synthetic_corpus", "threshold_clusters",
 ]
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_import_loads_no_submodule():

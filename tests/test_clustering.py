@@ -17,6 +17,7 @@ from wordhom import (
     threshold_clusters,
 )
 from wordhom.clustering import cluster_by_method
+from oracle import scaled
 
 
 def random_weighted_graph(rng, n_min=5, n_max=14, p_edge=0.5):
@@ -158,7 +159,7 @@ def test_mcl_scale_invariance():
         g = random_weighted_graph(rng)
         base = markov_clusters(g, 2.0).clustering
         for factor in (0.1, 0.5):
-            assert markov_clusters(g.scaled(factor), 2.0).clustering == base
+            assert markov_clusters(scaled(g, factor), 2.0).clustering == base
 
 
 def test_mcl_non_convergence_flag():
@@ -573,6 +574,41 @@ def test_sweep_parallel_matches_sequential():
     seq = sweep(g, "threshold", grid)
     par = sweep(g, "threshold", grid, jobs=2)
     assert seq.rows == par.rows
+
+
+def test_sweep_starts_no_more_workers_than_grid_points(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        """Runs the tasks in this process and records the pool size asked for."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    g = two_cliques()
+    assert sweep(g, "mcl", [1.5, 2.0], jobs=5000).rows == sweep(g, "mcl", [1.5, 2.0]).rows
+    sweep(g, "mcl", [1.5, 2.0, 3.0], jobs=2)
+    sweep(g, "mcl", [2.0], jobs=4)
+    assert started == [2, 2]
+
+
+def test_sweep_refuses_fewer_than_one_job():
+    for method in ("threshold", "persistence", "mcl"):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+                sweep(two_cliques(), method, [0.5, 2.0], jobs=jobs)
 
 
 @st.composite

@@ -14,13 +14,12 @@ from wordhom import (
     SimplexBudgetError,
     WeightedGraph,
     build_vr_filtration,
-    face_closure,
     persistence_clusters,
     reduce_filtration,
     sweep,
-    validate_complex,
 )
 from wordhom.exports import write_filtration_tsv
+from oracle import event_values, face_closure, validate_complex
 from conftest import random_dissimilarity_graph
 
 
@@ -88,7 +87,7 @@ def test_every_complex_is_face_closed():
     for _ in range(10):
         g = random_dissimilarity_graph(rng)
         filt = build_vr_filtration(g, max_dim=3, max_eps=1.0)
-        for eps in filt.event_values():
+        for eps in event_values(filt):
             assert validate_complex(filt.complex_at(eps)) == []
         assert Filtration(filt.entries).entries == filt.entries
 
@@ -207,9 +206,13 @@ def test_simplex_budget_edge(max_dim):
 
 def test_reduction_leaves_face_positions_unmade():
     filt = build_vr_filtration(random_dissimilarity_graph(random.Random(22)), max_dim=3)
-    reduce_filtration(filt, PrimeField(2))
+    reduced = reduce_filtration(filt, PrimeField(2))
     reduce_filtration(filt, PrimeField(3))
-    assert "face_positions" not in vars(filt)
+    assert set(vars(filt)) == {"vertices", "births"}
+    # cycles look their faces up one at a time, through the position index
+    for interval in reduced.barcode().all_intervals():
+        reduced.representative(interval)
+    assert set(vars(filt)) == {"vertices", "births", "_position"}
 
 
 def test_max_dim_must_be_a_non_negative_integer():

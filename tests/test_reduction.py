@@ -11,14 +11,13 @@ from wordhom import (
     PrimeField,
     Simplex,
     betti_at,
-    betti_numbers,
     boundary_chain,
     build_vr_filtration,
-    face_closure,
     reduce_filtration,
     threshold_clusters,
     WeightedGraph,
 )
+from oracle import betti_numbers, event_values, face_closure
 from conftest import circle_filtration, random_dissimilarity_graph
 
 F2 = PrimeField(2)
@@ -119,7 +118,7 @@ def test_barcode_matches_rank_oracle_everywhere():
         filt = build_vr_filtration(g, max_dim=3, max_eps=1.0)
         for field in (F2, F3):
             bc = reduce_filtration(filt, field).barcode()
-            for eps in filt.event_values():
+            for eps in event_values(filt):
                 for k in (0, 1, 2):
                     assert bc.alive_count(k, eps) == betti_at(filt, eps, k, field)
 
@@ -149,7 +148,7 @@ def test_barcode_and_cycles_match_dense_oracle(filt):
     for field in (F2, F3, F5):
         red = reduce_filtration(filt, field)
         bc = red.barcode()
-        for eps in filt.event_values():
+        for eps in event_values(filt):
             for k in range(max(map(len, filt.vertices))):
                 assert bc.alive_count(k, eps) == betti_at(filt, eps, k, field)
         for iv in bc.all_intervals():
@@ -172,7 +171,7 @@ def test_dim0_alive_matches_component_count():
         g = WeightedGraph(n, weights)
         filt = build_vr_filtration(g, max_dim=1, max_eps=1.0)
         bc = reduce_filtration(filt, F2).barcode()
-        for eps in filt.event_values():
+        for eps in event_values(filt):
             assert bc.alive_count(0, eps) == threshold_clusters(g, eps).n_clusters
 
 
