@@ -22,8 +22,7 @@ _EXPORTS = {
     "corpus": ("AssociationCorpus", "DataFormatError", "parse_edge_list", "parse_stimulus_counts"),
     "estimators": ("MarkovClustering", "PersistenceClustering", "ThresholdClustering", "VietorisRipsPersistence"),
     "fields": ("PrimeField",),
-    "homology": ("betti_at", "betti_of_complex", "rank_mod_p"),
-    "reduction": ("Barcode", "Interval", "ReducedFiltration", "reduce_filtration"),
+    "reduction": ("Barcode", "Interval", "ReducedFiltration", "betti_at", "betti_of_complex", "reduce_filtration"),
     "simplices": ("Simplex",),
     "svg": ("render_barcode_svg",),
     "synthetic": ("synthetic_corpus",),

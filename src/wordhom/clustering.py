@@ -108,15 +108,6 @@ class Clustering:
         object.__setattr__(self, "labels", tuple(state))
         object.__setattr__(self, "n_clusters", len(set(state)))
 
-    def members(self, cluster: int) -> tuple[int, ...]:
-        return tuple(v for v, c in enumerate(self.labels) if c == cluster)
-
-    def sizes(self) -> tuple[int, ...]:
-        counts = [0] * self.n_clusters
-        for c in self.labels:
-            counts[c] += 1
-        return tuple(counts)
-
     def __len__(self) -> int:
         return len(self.labels)
 

@@ -13,7 +13,6 @@ when it is called.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
@@ -205,17 +204,6 @@ class Filtration:
     def __setattr__(self, name, value):
         raise AttributeError("Filtration is immutable")
 
-    @classmethod
-    def from_complex(
-        cls,
-        simplices: Iterable[Simplex],
-        birth: float | Mapping[Simplex, float] = 0.0,
-    ) -> "Filtration":
-        """Wrap a fixed complex as a filtration (uniform birth by default)."""
-        sims = set(simplices)
-        births = birth if isinstance(birth, Mapping) else dict.fromkeys(sims, birth)
-        return cls([(s, births[s]) for s in sims])
-
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -226,11 +214,6 @@ class Filtration:
     def entries(self) -> tuple[tuple[Simplex, float], ...]:
         """``(Simplex, birth)`` pairs, made on first use and kept."""
         return tuple((Simplex(vs), b) for vs, b in zip(self.vertices, self.births))
-
-    def complex_at(self, eps: float) -> set[Simplex]:
-        """All simplices born at or before eps (monotone in eps)."""
-        cut = bisect_right(self.births, eps)
-        return {s for s, _ in self.entries[:cut]}
 
     @cached_property
     def _position(self) -> dict[tuple[int, ...], int]:

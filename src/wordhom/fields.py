@@ -21,9 +21,9 @@ def _is_prime(n: int) -> bool:
 class PrimeField:
     """Modular arithmetic mod a prime p.
 
-    Elements are plain ints in ``range(p)``; all methods reduce their
-    results into that range. Construction rejects composite moduli so
-    that every nonzero element is invertible.
+    Elements are plain ints in ``range(p)``. Construction rejects
+    composite moduli so that every nonzero element has an inverse
+    (:meth:`inv`).
     """
 
     __slots__ = ("p",)
@@ -34,15 +34,6 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"field modulus must be prime, got {p}")
         self.p = p
-
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero element (Fermat)."""

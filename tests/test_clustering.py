@@ -537,8 +537,8 @@ def test_clustering_labels_densified():
     c = Clustering([7, 7, 3, 9, 3])
     assert c.labels == (0, 0, 1, 2, 1)
     assert c.n_clusters == 3
-    assert c.members(1) == (2, 4)
-    assert c.sizes() == (2, 2, 1)
+    assert [v for v, label in enumerate(c.labels) if label == 1] == [2, 4]
+    assert [c.labels.count(k) for k in range(c.n_clusters)] == [2, 2, 1]
 
 
 def test_sweep_singleton_grid_matches_direct_call():
@@ -672,11 +672,11 @@ def test_threshold_and_modularity_match_networkx():
             kept = nx.Graph()
             kept.add_nodes_from(range(g.n))
             kept.add_edges_from((i, j) for i, j, w in g.pair_sorted_edges() if 1.0 - w <= eps)
-            groups = {frozenset(c.members(k)) for k in range(c.n_clusters)}
+            groups = {frozenset(v for v, label in enumerate(c.labels) if label == k) for k in range(c.n_clusters)}
             assert groups == {frozenset(comp) for comp in nx.connected_components(kept)}
             partitions.append(c)
         for c in partitions:
-            groups = [set(c.members(k)) for k in range(c.n_clusters)]
+            groups = [{v for v, label in enumerate(c.labels) if label == k} for k in range(c.n_clusters)]
             expected = nx.community.modularity(full, groups, weight="weight")
             assert abs(modularity(g, c) - expected) < 1e-12
 

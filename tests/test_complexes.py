@@ -19,7 +19,7 @@ from wordhom import (
     sweep,
 )
 from wordhom.exports import write_filtration_tsv
-from oracle import event_values, face_closure, validate_complex
+from oracle import complex_at, event_values, face_closure, validate_complex
 from conftest import random_dissimilarity_graph
 
 
@@ -28,8 +28,8 @@ def test_edge_membership_by_scale():
     g = WeightedGraph(2, {(0, 1): 0.4})
     filt = build_vr_filtration(g, max_dim=1, max_eps=1.0)
     edge = Simplex((0, 1))
-    assert edge in filt.complex_at(0.7)
-    assert edge not in filt.complex_at(0.5)
+    assert edge in complex_at(filt, 0.7)
+    assert edge not in complex_at(filt, 0.5)
 
 
 def test_triangle_clique_rule():
@@ -37,7 +37,7 @@ def test_triangle_clique_rule():
     filt = build_vr_filtration(g, max_dim=2, max_eps=1.0)
     births = {s: b for s, b in filt}
     assert births[Simplex((0, 1, 2))] == 0.3
-    assert filt.complex_at(0.3) == set(births)
+    assert complex_at(filt, 0.3) == set(births)
 
 
 def test_mixed_triangle_birth_is_max_edge():
@@ -58,7 +58,7 @@ def test_complex_at_zero_is_vertex_set():
     rng = random.Random(5)
     g = random_dissimilarity_graph(rng)
     filt = build_vr_filtration(g, max_dim=2, max_eps=1.0, vertex_birth="zero")
-    at_zero = filt.complex_at(0.0)
+    at_zero = complex_at(filt, 0.0)
     expected = {Simplex((v,)) for v in range(g.n)}
     # edges with dissimilarity exactly 0 would join; generator avoids 0
     assert at_zero == expected
@@ -68,7 +68,7 @@ def test_complex_at_max_eps_is_everything():
     rng = random.Random(6)
     g = random_dissimilarity_graph(rng)
     filt = build_vr_filtration(g, max_dim=2, max_eps=1.0)
-    assert filt.complex_at(1.0) == {s for s, _ in filt}
+    assert complex_at(filt, 1.0) == {s for s, _ in filt}
 
 
 def test_nesting_over_grid():
@@ -77,7 +77,7 @@ def test_nesting_over_grid():
         g = random_dissimilarity_graph(rng)
         filt = build_vr_filtration(g, max_dim=3, max_eps=1.0)
         grid = [i / 9 for i in range(10)]
-        complexes = [filt.complex_at(e) for e in grid]
+        complexes = [complex_at(filt, e) for e in grid]
         for small, large in itertools.combinations(range(10), 2):
             assert complexes[small] <= complexes[large]
 
@@ -88,7 +88,7 @@ def test_every_complex_is_face_closed():
         g = random_dissimilarity_graph(rng)
         filt = build_vr_filtration(g, max_dim=3, max_eps=1.0)
         for eps in event_values(filt):
-            assert validate_complex(filt.complex_at(eps)) == []
+            assert validate_complex(complex_at(filt, eps)) == []
         assert Filtration(filt.entries).entries == filt.entries
 
 

@@ -62,7 +62,7 @@ def vr30_filtration():
 
 
 FIXTURES = {
-    "shell_arm": lambda: Filtration.from_complex(shell_arm_complex()),
+    "shell_arm": lambda: Filtration([(s, 0.0) for s in shell_arm_complex()]),
     "circle": circle_filtration,
     "vr12": vr12_filtration,
 }

@@ -4,20 +4,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wordhom
 from wordhom import (
     Barcode,
     Filtration,
     Interval,
     PrimeField,
     Simplex,
-    betti_at,
     boundary_chain,
     build_vr_filtration,
     reduce_filtration,
     threshold_clusters,
     WeightedGraph,
 )
-from oracle import betti_numbers, event_values, face_closure
+from oracle import betti_at, betti_numbers, betti_of_complex, complex_at, event_values, face_closure
 from conftest import circle_filtration, random_dissimilarity_graph
 
 F2 = PrimeField(2)
@@ -26,7 +26,7 @@ F5 = PrimeField(5)
 
 
 def test_single_vertex():
-    filt = Filtration.from_complex({Simplex((0,))})
+    filt = Filtration([(Simplex((0,)), 0.0)])
     red = reduce_filtration(filt, F2)
     bc = red.barcode()
     assert [(iv.birth, iv.death) for iv in bc.intervals(0)] == [(0.0, math.inf)]
@@ -44,7 +44,7 @@ def test_two_vertices_one_edge_elder_rule():
 
 
 def test_shell_arm_essentials(shell_arm):
-    filt = Filtration.from_complex(shell_arm)
+    filt = Filtration([(s, 0.0) for s in shell_arm])
     for field in (F2, F3, F5):
         bc = reduce_filtration(filt, field).barcode()
         essential = {k: sum(1 for iv in bc.intervals(k) if iv.is_infinite) for k in (0, 1)}
@@ -52,7 +52,7 @@ def test_shell_arm_essentials(shell_arm):
 
 
 def test_vertex_only_barcode():
-    filt = Filtration.from_complex({Simplex((v,)) for v in range(5)})
+    filt = Filtration([(Simplex((v,)), 0.0) for v in range(5)])
     bc = reduce_filtration(filt, F2).barcode()
     assert [(iv.birth, iv.death) for iv in bc.intervals(0)] == [(0.0, math.inf)] * 5
 
@@ -71,7 +71,7 @@ def test_circle_representative_is_the_four_cycle():
 
 
 def test_shell_arm_representative(shell_arm):
-    filt = Filtration.from_complex(shell_arm)
+    filt = Filtration([(s, 0.0) for s in shell_arm])
     for field in (F2, F3, F5):
         red = reduce_filtration(filt, field)
         iv = [iv for iv in red.barcode().intervals(1) if iv.is_infinite][0]
@@ -139,22 +139,61 @@ def small_filtrations(draw):
     birth: dict[Simplex, float] = {}
     for s in sorted(face_closure(Simplex(sorted(t)) for t in tops), key=Simplex.sort_key):
         birth[s] = max([draw(grid)] + [birth[f] for f in s.faces()])
-    return Filtration.from_complex(birth, birth=birth)
+    return Filtration(birth.items())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(small_filtrations())
 def test_barcode_and_cycles_match_dense_oracle(filt):
+    whole = {s for s, _ in filt}
     for field in (F2, F3, F5):
         red = reduce_filtration(filt, field)
         bc = red.barcode()
-        for eps in event_values(filt):
-            for k in range(max(map(len, filt.vertices))):
-                assert bc.alive_count(k, eps) == betti_at(filt, eps, k, field)
+        for k in range(max(map(len, filt.vertices)) + 1):
+            for eps in event_values(filt) + (-0.5, 2.0):
+                expected = betti_at(filt, eps, k, field)
+                assert bc.alive_count(k, eps) == expected
+                assert wordhom.betti_at(filt, eps, k, field) == expected
+            assert wordhom.betti_of_complex(whole, k, field) == betti_of_complex(whole, k, field)
         for iv in bc.all_intervals():
             rep = red.representative(iv)
             assert not rep.is_zero
             assert boundary_chain(rep, field).is_zero
+
+
+def test_public_betti_matches_dense_oracle():
+    # wordhom.betti_at counts the bars alive at eps; the oracle ranks the
+    # boundary matrices of the complex at eps
+    rng = random.Random(24)
+    for _ in range(6):
+        g = random_dissimilarity_graph(rng, n_max=9)
+        max_dim, max_eps = rng.randint(1, 3), rng.choice((0.5, 1.0))
+        filt = build_vr_filtration(g, max_dim=max_dim, max_eps=max_eps)
+        whole = complex_at(filt, max_eps)
+        for field in (F2, F3, F5):
+            for k in range(max_dim + 2):
+                for eps in event_values(filt) + (-0.5, max_eps + 0.5):
+                    assert wordhom.betti_at(filt, eps, k, field) == betti_at(filt, eps, k, field)
+                assert wordhom.betti_of_complex(whole, k, field) == betti_of_complex(whole, k, field)
+
+
+def test_betti_refuses_a_complex_missing_a_face():
+    with pytest.raises(ValueError, match=r"Simplex\(\[0, 1\]\) present without its face Simplex\(\[1\]\)"):
+        wordhom.betti_of_complex([Simplex((0, 1))], 1, F2)
+    no_edge_12 = face_closure([Simplex((0, 1, 2))]) - {Simplex((1, 2))}
+    with pytest.raises(ValueError, match=r"Simplex\(\[0, 1, 2\]\) present without its face Simplex\(\[1, 2\]\)"):
+        wordhom.betti_of_complex(no_edge_12, 1, F2)
+
+
+def test_betti_refuses_a_scale_that_is_not_finite():
+    filt = circle_filtration()
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            wordhom.betti_at(filt, eps, 0, F2)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        wordhom.betti_at(filt, 0.5, -1, F2)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        wordhom.betti_of_complex(face_closure([Simplex((0, 1))]), -1, F2)
 
 
 def test_dim0_alive_matches_component_count():
@@ -180,7 +219,7 @@ def test_euler_characteristic():
     for _ in range(8):
         g = random_dissimilarity_graph(rng, n_max=9)
         filt = build_vr_filtration(g, max_dim=3, max_eps=1.0)
-        sims = filt.complex_at(1.0)
+        sims = complex_at(filt, 1.0)
         chi_cells = sum((-1) ** s.dim for s in sims)
         max_k = max(s.dim for s in sims)
         chi_betti = sum(
@@ -223,10 +262,10 @@ def test_zero_length_intervals_flagged_and_filterable():
     g = WeightedGraph.from_dissimilarities(2, {(0, 1): 0.0})
     filt = build_vr_filtration(g, 1, 1.0)
     bc = reduce_filtration(filt, F2).barcode()
-    zero = [iv for iv in bc.intervals(0) if iv.is_zero_length]
+    zero = [iv for iv in bc.intervals(0) if iv.death == iv.birth]
     assert len(zero) == 1
     assert bc.intervals(0, include_zero_length=False) == tuple(
-        iv for iv in bc.intervals(0) if not iv.is_zero_length
+        iv for iv in bc.intervals(0) if not iv.death == iv.birth
     )
     # alive at its own birth instant: never (half-open)
     assert not zero[0].alive_at(0.0)
@@ -234,7 +273,7 @@ def test_zero_length_intervals_flagged_and_filterable():
 
 def test_field_independence_on_fixtures(shell_arm, octahedron, torus7):
     for cx in (shell_arm, octahedron, torus7):
-        filt = Filtration.from_complex(cx)
+        filt = Filtration([(s, 0.0) for s in cx])
         reference = None
         for field in (F2, F3, F5):
             bc = reduce_filtration(filt, field).barcode()

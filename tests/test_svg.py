@@ -54,7 +54,7 @@ def test_axis_max_must_be_finite_and_positive():
 def test_infinite_bars_get_arrowheads(shell_arm):
     from wordhom import Filtration, PrimeField, reduce_filtration
 
-    bc = reduce_filtration(Filtration.from_complex(shell_arm), PrimeField(2)).barcode()
+    bc = reduce_filtration(Filtration([(s, 0.0) for s in shell_arm]), PrimeField(2)).barcode()
     doc = render_barcode_svg(bc)
     root = parse(doc)
     n_infinite = sum(1 for iv in bc.all_intervals() if iv.is_infinite)
