@@ -71,8 +71,12 @@ def _check_paths(args, *out_attrs) -> None:
 
 
 def _config(args) -> dict:
-    # the effective arguments: a listed complex ignores the complex options
+    # the effective arguments: a listed complex ignores the complex options,
+    # and a clustering method those of the other methods
     skip = ("func",) + (_COMPLEX_KEYS if getattr(args, "format", None) == "filtration" else ())
+    if getattr(args, "method", None) is not None:  # sweep --jobs spreads only mcl points
+        skip += tuple(k for m, keys in _METHOD_KEYS.items() if m != args.method for k in keys)
+        skip += ("jobs",) if args.method != "mcl" else ()
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
     cfg["version"] = __version__
     return cfg
@@ -128,6 +132,15 @@ def _add_homology_args(p):
     _add_input_args(p, formats=("edges", "stimulus", "filtration"))
     _add_complex_args(p)
     p.add_argument("--field", type=int, default=2, help="prime coefficient field")
+
+
+# the dests each clustering method reads: its parameter (a cluster option),
+# then the keyword arguments it takes from the options below
+_METHOD_KEYS = {
+    "threshold": ("eps",),
+    "persistence": ("tau", "vertex_birth"),
+    "mcl": ("inflation", "expansion", "prune", "max_iter", "tol", "self_loop"),
+}
 
 
 def _add_clustering_args(p):
@@ -277,17 +290,7 @@ def _warn(message: str) -> None:
 
 
 def _method_params(args) -> dict:
-    if args.method == "persistence":
-        return {"vertex_birth": args.vertex_birth}
-    if args.method == "mcl":
-        return {
-            "expansion": args.expansion,
-            "prune": args.prune,
-            "max_iter": args.max_iter,
-            "tol": args.tol,
-            "self_loop": args.self_loop,
-        }
-    return {}
+    return {k: getattr(args, k) for k in _METHOD_KEYS[args.method][1:]}
 
 
 def cmd_sweep(args) -> int:

@@ -13,10 +13,13 @@ imported (about 300 modules and 20 MiB): the kernels come from its
 already loaded module, else from the extension file itself. They are
 private to scipy, so the tests pin each helper to its operator array
 for array, and a scipy release that changes either side fails there.
+Connected components come from ``cs_graph_components``, which no
+operator calls; the tests check its sizes against union-find.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -94,15 +97,18 @@ def _normalize_columns(m):
     return _product(m, (eye, eye[:-1], 1.0 / sums), len(sums))
 
 
-def _product(a, b, n_rows: int):
+def _product(a, b, n_rows: int, cap=None):
     """``a @ b`` for an ``n_rows``-row ``a`` by ``csr_matmat``, the kernel
     ``@`` ends in, with ``@``'s (CSC-swapped) arguments, but sized by a
     bound instead of ``@``'s exact symbolic count (``csr_matmat_maxnnz``,
-    Gustavson 1978): column j holds at most min(n_rows, sum of
-    nnz(a[:, k]) over the k stored in b[:, j]) entries."""
+    Gustavson 1978): column j holds at most min(cap_j, sum of
+    nnz(a[:, k]) over the k stored in b[:, j]) entries, where ``cap`` is
+    ``n_rows`` or one number per column. The kernel writes without a
+    bounds check, so a cap must hold for every column."""
     n_cols = len(b[0]) - 1
     reach = np.concatenate(([0], np.cumsum(np.diff(a[0])[b[1]])))[b[0]]
-    args, out = _kernel_args(n_cols, int(np.minimum(np.diff(reach), n_rows).sum()), b, a)
+    bound = np.minimum(np.diff(reach), n_rows if cap is None else cap)
+    args, out = _kernel_args(n_cols, int(bound.sum()), b, a)
     _sparsetools.csr_matmat(n_cols, n_rows, *args, *out)
     return _trimmed(*out)
 
@@ -118,17 +124,19 @@ def _rescale_prune_rescale(m, prune: float):
     n = len(indptr) - 1
     counts = np.diff(indptr)
     if counts.all():
-        col = np.repeat(np.arange(n), counts)
         sums = np.add.reduceat(data, indptr[:-1])
         if sums.all():
-            data = data * (1.0 / sums)[col]
-            keep = (data >= prune) & (data != 0.0)
-            data, indices, col = data[keep], indices[keep], col[keep]
-            counts = np.bincount(col, minlength=n)
+            data = np.repeat(1.0 / sums, counts)
+            data *= m[2]  # into a new array: the route below reads m again
+            keep = data >= max(prune, math.ulp(0.0))  # >= prune, and no zero
+            counts = np.add.reduceat(keep, indptr[:-1], dtype=indptr.dtype)
+            data = data[keep]
+            indices = indices[keep]
             if counts.all():
                 indptr = np.concatenate(([0], np.cumsum(counts))).astype(indptr.dtype)
-                reverse = (indptr[:-1] + indptr[1:] - 1)[col] - np.arange(col.size)
-                data *= (1.0 / np.add.reduceat(data[reverse], indptr[:-1]))[col]
+                reverse = np.repeat(indptr[:-1] + indptr[1:] - 1, counts)
+                reverse -= np.arange(len(reverse), dtype=reverse.dtype)
+                data *= np.repeat(1.0 / np.add.reduceat(data[reverse], indptr[:-1]), counts)
                 _sparsetools.csr_eliminate_zeros(n, n, indptr, indices, data)  # the product route drops underflows too
                 return _trimmed(indptr, indices, data)
     indptr, indices, data = _normalize_columns(m)
@@ -141,7 +149,14 @@ def flow(
     graph: WeightedGraph, inflation: float, expansion: int, prune: float, max_iter: int, tol: float, self_loop: float
 ) -> tuple[list[int], bool, int]:
     """The iteration of :func:`~wordhom.clustering.markov_clusters` on checked
-    parameters: the raw labels, whether it converged, and the rounds."""
+    parameters: the raw labels, whether it converged, and the rounds.
+
+    Flow never leaves a connected component, so each product column is
+    sized by its vertex's component, not by n. That bound holds because
+    the start matrix is block-diagonal by the components of its stored
+    entries (every edge, zero weights included, and every self-loop), and
+    products, entrywise powers, normalization (which adds only diagonal
+    entries) and pruning keep it block-diagonal."""
     n = graph.n
     if n == 0:
         return [], True, 0
@@ -149,14 +164,20 @@ def flow(
     w = w / (w.max(initial=0.0) or 1.0)  # all weights 0 (every d = 1): self-loops only
     loops = np.arange(n)
     data = np.concatenate((w, w, np.full(n, float(self_loop))))
-    m = _normalize_columns(_assemble(np.concatenate((i, j, loops)), np.concatenate((j, i, loops)), data, n))
+    m = _assemble(np.concatenate((i, j, loops)), np.concatenate((j, i, loops)), data, n)
+    component = np.empty(n, dtype=m[0].dtype)
+    # the kernel reads a symmetric pattern and labels an entry-less vertex -2;
+    # every column holds its loop, so bincount sees no negative label
+    _sparsetools.cs_graph_components(n, *m[:2], component)
+    size = np.bincount(component)[component]
+    m = _normalize_columns(m)
     for n_iter in range(1, max_iter + 1):
-        prev = powered = m
+        prev = m
         for _ in range(expansion - 1):
-            powered = _product(powered, m, n)
-        m = _rescale_prune_rescale((*powered[:2], np.power(powered[2], inflation)), prune)
-        delta = _binop("minus", m, prev)[2]
-        if (float(np.abs(delta).max()) if delta.size else 0.0) < tol:
+            m = _product(m, prev, n, size)
+        np.power(m[2], inflation, out=m[2])  # the product's own buffer
+        m = _rescale_prune_rescale(m, prune)
+        if float(np.abs(_binop("minus", m, prev)[2]).max(initial=0.0)) < tol:  # its buffer dies here, not a round later
             return _markov_labels(m, n), True, n_iter
     return _markov_labels(m, n), False, max_iter
 

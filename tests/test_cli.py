@@ -441,6 +441,31 @@ def test_listed_complex_headers_leave_out_the_complex_options(edges_tsv, tmp_pat
     assert "max_dim=2" in filt.read_text()
 
 
+HEADER_KEYS = {  # beside command, format, input, method, out and version
+    "cluster": {
+        "threshold": ["eps"],
+        "persistence": ["tau", "vertex_birth"],
+        "mcl": ["expansion", "inflation", "max_iter", "prune", "self_loop", "tol"],
+    },
+    "sweep": {
+        "threshold": [],
+        "persistence": ["vertex_birth"],
+        "mcl": ["expansion", "grid", "jobs", "max_iter", "prune", "self_loop", "tol"],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["cluster", "sweep"])
+@pytest.mark.parametrize("method", ["threshold", "persistence", "mcl"])
+def test_clustering_headers_echo_only_the_options_of_their_method(command, method, edges_tsv, tmp_path, capsys):
+    out = tmp_path / "out.tsv"
+    argv = [command, "--in", edges_tsv, "--method", method, "--out", str(out)]
+    assert run(argv + (["--grid", "1.5,2"] if (command, method) == ("sweep", "mcl") else []), capsys)[0] == 0
+    keys = [l[2:].split("=", 1)[0] for l in out.read_text().splitlines() if l.startswith("# ") and "=" in l]
+    common = ["command", "format", "input", "method", "out", "version"]
+    assert [k for k in keys if k != "argmax param"] == sorted(common + HEADER_KEYS[command][method])
+
+
 @pytest.mark.parametrize("fmt, walks", [("filtration", 1), ("edges", 0)])
 def test_persist_walks_the_closure_once_per_outside_filtration(fmt, walks, edges_tsv, tmp_path, capsys, monkeypatch):
     path = edges_tsv
@@ -509,6 +534,15 @@ def test_readme_quick_start_runs(capsys):
 
 def test_import_loads_no_submodule():
     assert heavy_modules_loaded_by("import wordhom", ("wordhom",)) == ["wordhom"]
+
+
+def test_import_leaves_the_name_table_unloaded():
+    """The table of public names is compiled on the first lookup of a
+    name the package does not hold, not by ``import wordhom``."""
+    script = "import wordhom\nassert wordhom.__version__"
+    assert heavy_modules_loaded_by(script, ("wordhom._names",)) == []
+    script = "import wordhom\nassert len(wordhom.__all__) == 34"
+    assert heavy_modules_loaded_by(script, ("wordhom._names",)) == ["wordhom._names"]
 
 
 def test_public_names_are_their_modules_objects():

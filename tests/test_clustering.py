@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import random
@@ -14,6 +15,7 @@ from wordhom import (
     modularity,
     persistence_clusters,
     sweep,
+    synthetic_corpus,
     threshold_clusters,
 )
 from wordhom.clustering import cluster_by_method
@@ -342,6 +344,92 @@ def test_mcl_makes_no_symbolic_product_pass(monkeypatch):
     sweep(g, "mcl", [1.4, 2.0])
     assert calls["csr_matmat"] > 0 and calls["csr_plus_csr"] > 0  # the counters are live
     assert calls["csr_matmat_maxnnz"] == 0
+
+
+def graph_of_components(rng, sizes, isolated, zero_share):
+    """A graph whose connected components have the given sizes, plus
+    ``isolated`` edgeless vertices, with vertex ids shuffled across
+    components; each edge has dissimilarity 1 (weight 0) with
+    probability ``zero_share``."""
+    ids = list(range(sum(sizes) + isolated))
+    rng.shuffle(ids)
+    d, start = {}, 0
+    for size in sizes:
+        members = ids[start : start + size]
+        start += size
+        for k in range(1, size):  # a random spanning tree, then chords
+            d[tuple(sorted((members[k], members[rng.randrange(k)])))] = 1.0
+        for a, b in itertools.combinations(members, 2):
+            if rng.random() < 0.3:
+                d[tuple(sorted((a, b)))] = 1.0
+    for pair in d:
+        if rng.random() >= zero_share:
+            d[pair] = round(rng.uniform(0.05, 0.95), 3)
+    return WeightedGraph.from_dissimilarities(len(ids), d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(1, 7), min_size=1, max_size=4),
+    st.integers(0, 3),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 3),
+    st.sampled_from([1.2, 2.0, 3.0]),
+    st.sampled_from([0.0, 1e-5, 0.3]),
+)
+def test_component_bound_covers_every_product(sizes, isolated, zero_share, seed, expansion, inflation, prune):
+    """``csr_matmat`` writes without a bounds check, so every product of a
+    flow must fit its bound: per column, min(reach, the size of the
+    column's component, counted by union-find over every edge) is at
+    least the nnz of ``a @ b`` by ``scipy.sparse``, and the product is
+    ``a @ b`` array for array."""
+    np = pytest.importorskip("numpy")
+    sparse = pytest.importorskip("scipy.sparse")
+    from wordhom import UnionFind, markov
+
+    g = graph_of_components(random.Random(seed), sizes, isolated, zero_share)
+    uf = UnionFind(g.n)
+    for i, j, _ in g.pair_sorted_edges():
+        uf.union(i, j)
+    component_size = [uf.size[uf.find(v)] for v in range(g.n)]
+    product, calls = markov._product, []
+
+    def checked(a, b, n_rows, cap=None):
+        n = len(b[0]) - 1
+        ma, mb = as_csc(sparse, a, (n_rows, n)), as_csc(sparse, b, (n, n))
+        expected = (ma @ mb).tocsc()
+        pattern = as_csc(sparse, (b[0], b[1], np.ones(len(b[1]))), (n, n))  # explicit zeros count
+        bound = np.minimum(np.diff(ma.indptr) @ pattern, n_rows if cap is None else cap)
+        assert (bound >= np.diff(expected.indptr)).all()  # checked before the kernel writes
+        got = product(a, b, n_rows, cap)
+        assert same_arrays(as_csc(sparse, got, (n_rows, n)), expected)
+        if cap is not None:
+            calls.append(list(cap))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(markov, "_product", checked)
+        markov_clusters(g, inflation, expansion=expansion, prune=prune)
+    assert calls and all(cap == component_size for cap in calls)
+
+
+def test_mcl_working_set_follows_the_largest_component():
+    """Products are sized by component, not by n: on the 2,000-word
+    corpus (largest component far below n) the traced allocation peak
+    of a flow stays under 12 MiB; sized by n it was 28.5 MiB."""
+    pytest.importorskip("scipy")
+    import tracemalloc
+
+    g = synthetic_corpus(n_words=2000, seed=1).to_weighted_graph()
+    markov_clusters(two_cliques(), 2.0)  # imports outside the trace
+    tracemalloc.start()
+    try:
+        markov_clusters(g, 1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, peak / 2**20
 
 
 def scipy_normalize_columns(np, sparse, m):
