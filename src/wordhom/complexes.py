@@ -254,17 +254,27 @@ def build_vr_filtration(
     Cliques are enumerated by ordered neighbor intersection, so the
     work is proportional to the simplices actually emitted; each
     candidate vertex carries its largest dissimilarity to the clique, so
-    a birth is one comparison. The search meets each dimension's
-    simplices in lexicographic order, so one stable sort by birth puts
-    them in filtration order.
+    a birth is one comparison. The last level, the max_dim-simplices, is
+    emitted by its parent's loop: each (max_dim - 1)-simplex appends its
+    cofaces and their births directly, with no call or candidate list
+    of its own. The search meets each dimension's simplices in
+    lexicographic order, so one stable sort by birth puts them in
+    filtration order.
 
-    Raises :class:`SimplexBudgetError` as soon as more than
-    ``max_simplices`` simplices would be produced.
+    Simplices are counted in batches, the cofaces one simplex adds at a
+    time, and :class:`SimplexBudgetError` is raised after the first
+    batch that takes the count past ``max_simplices`` (an integer >= 0;
+    None sets no budget), so the build stops within one batch of the
+    budget.
     """
     from numbers import Integral
 
     if not isinstance(max_dim, Integral) or isinstance(max_dim, bool) or max_dim < 0:
         raise ValueError(f"max_dim must be an integer >= 0, got {max_dim!r}")
+    if max_simplices is not None and (
+        not isinstance(max_simplices, Integral) or isinstance(max_simplices, bool) or max_simplices < 0
+    ):
+        raise ValueError(f"max_simplices must be an integer >= 0, got {max_simplices!r}")
     if not 0.0 <= max_eps <= 1.0:
         raise ValueError("max_eps must lie in [0, 1]")
 
@@ -277,6 +287,12 @@ def build_vr_filtration(
     born: list[list[float]] = [[] for _ in range(max_dim + 1)]
     count = 0
 
+    def refuse() -> None:
+        raise SimplexBudgetError(
+            f"complex exceeds the {max_simplices}-simplex budget; "
+            "lower max_eps or max_dim, or raise the budget"
+        )
+
     def grow(clique: tuple[int, ...], birth: float, cand: list[tuple[int, float]]) -> None:
         # cand pairs each vertex adjacent (within max_eps) to all of clique,
         # in ascending order, with the largest of its own birth and its
@@ -284,10 +300,7 @@ def build_vr_filtration(
         nonlocal count
         count += len(cand)
         if count > budget:
-            raise SimplexBudgetError(
-                f"complex exceeds the {max_simplices}-simplex budget; "
-                "lower max_eps or max_dim, or raise the budget"
-            )
+            refuse()
         dim = len(clique)
         extended = [clique + (u,) for u, _ in cand]
         extended_births = [birth if birth >= d else d for _, d in cand]
@@ -295,11 +308,29 @@ def build_vr_filtration(
         born[dim] += extended_births
         if dim == max_dim:
             return
+        if dim + 1 < max_dim:
+            for idx, (u, _) in enumerate(cand):
+                adjacent = near[u]
+                nxt = [(w, d if d >= e else e) for w, d in cand[idx + 1 :] if (e := adjacent.get(w)) is not None]
+                if nxt:
+                    grow(extended[idx], extended_births[idx], nxt)
+            return
+        # the top level: each extended clique emits its own cofaces here,
+        # without a call or candidate list of its own
+        top, top_born = by_dim[max_dim], born[max_dim]
         for idx, (u, _) in enumerate(cand):
-            adjacent = near[u]
-            nxt = [(w, d if d >= e else e) for w, d in cand[idx + 1 :] if (e := adjacent.get(w)) is not None]
-            if nxt:
-                grow(extended[idx], extended_births[idx], nxt)
+            adjacent, simplex, b = near[u], extended[idx], extended_births[idx]
+            before = len(top)
+            for w, d in cand[idx + 1 :]:
+                e = adjacent.get(w)
+                if e is not None:
+                    top.append(simplex + (w,))
+                    if e > d:
+                        d = e
+                    top_born.append(b if b >= d else d)
+            count += len(top) - before
+            if count > budget:
+                refuse()
 
     grow((), 0.0, [(v, b) for v, b in enumerate(births) if b <= max_eps])
     # (birth, dim, vertices) order: the dimensions joined in turn, then

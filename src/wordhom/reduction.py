@@ -14,13 +14,18 @@ made until a cycle is asked for.
 
 Over Z/2 a column is an ``int`` with bit r set when row r is nonzero,
 so adding a column is ``^``; over Z/p it is a dict from row to entry.
-Rows are ranks within their dimension, to keep bitsets narrow. For each
-dimension d, the faces of all (d+1)-simplices are looked up once, in
-``combinations`` order, into one flat list of positions; a d-simplex's
-cofaces are the ascending flat indices t where it appears. Index t is
-row t // (d + 2), with vertex d + 1 - t % (d + 2) omitted, which gives
-the entry's sign. The first index is the unreduced pivot; a column is
-built only when an addition needs it.
+Every column has its pivot at its top row, ``bit_length() - 1`` over
+Z/2 and ``max`` over Z/p: a boundary column's rows are the positions of
+its faces, and its pivot is its latest face; a coboundary column's rows
+are the ranks of its cofaces within their dimension, numbered from the
+end (rank r of n is row n - 1 - r), so its pivot, the earliest coface,
+is the top row too. For each dimension d, the faces of all
+(d+1)-simplices are looked up once, in ``combinations`` order, into one
+flat list of positions; a d-simplex's cofaces are the ascending flat
+indices t where it appears. Index t is rank t // (d + 2), with vertex
+d + 1 - t % (d + 2) omitted, which gives the entry's sign. The first
+index is the unreduced pivot; a column is built only when an addition
+needs it.
 
 Representative cycles need reduced boundary columns, which the
 cohomology pass does not produce. :meth:`ReducedFiltration.representative`
@@ -138,18 +143,11 @@ Reduced = tuple[Column, Column]
 def _column(rows: Iterable[int], ks: Iterable[int], p: int) -> Column:
     """Entry (-1)**k on each row r, pairing rows with ks (unread over Z/2)."""
     if p == 2:
-        return sum(map((1).__lshift__, rows))
+        col = 0
+        for r in rows:
+            col |= 1 << r
+        return col
     return {r: 1 if k % 2 == 0 else p - 1 for r, k in zip(rows, ks)}
-
-
-def _first_row(col: Column) -> int:
-    """Pivot of a coboundary column: its smallest nonzero row."""
-    return (col & -col).bit_length() - 1 if isinstance(col, int) else min(col)
-
-
-def _last_row(col: Column) -> int:
-    """Pivot of a boundary column: its largest nonzero row."""
-    return col.bit_length() - 1 if isinstance(col, int) else max(col)
 
 
 def _entries(col: Column) -> dict[int, int]:
@@ -161,26 +159,31 @@ def _entries(col: Column) -> dict[int, int]:
 
 def _reduce_column(
     col: Column,
-    pivot: Callable[[Column], int],
-    owner: Callable[[int], Reduced | None],
-    field: PrimeField,
     combo: Column,
+    owner_of: dict[int, int],
+    columns: dict[int, Reduced],
+    build: Callable[[int], Reduced] | None,
+    p: int,
 ) -> tuple[int | None, Column, Column]:
     """Add multiples of owned columns to col, and of their combinations
-    to combo, until col's pivot row has no owner (``owner`` gives the
-    reduced column owning a row, or None); return that row (None when
-    col empties), col and combo."""
-    p = field.p
+    to combo, until col's pivot, its top row, has no owner; return that
+    row (None when col empties), col and combo.
+
+    ``owner_of`` maps a pivot row to the key of the reduced column that
+    owns it, and ``columns`` holds the columns by key; ``build(key)``
+    makes, stores and returns one the first time it is added. Both maps
+    are read inline, so no other pivot step makes a Python-level call.
+    """
     while col:
-        row = pivot(col)
-        owned = owner(row)
-        if owned is None:
+        row = col.bit_length() - 1 if p == 2 else max(col)
+        if row not in owner_of:
             return row, col, combo
-        other, other_combo = owned
+        other, other_combo = columns.get(owner_of[row]) or build(owner_of[row])
         if p == 2:
-            col, combo = col ^ other, combo ^ other_combo
+            col ^= other
+            combo ^= other_combo
             continue
-        factor = col[row] * field.inv(other[row]) % p
+        factor = col[row] * pow(other[row], p - 2, p) % p
         for acc, add in ((col, other), (combo, other_combo)):
             for r, v in add.items():
                 nv = (acc.get(r, 0) - factor * v) % p
@@ -242,16 +245,16 @@ class ReducedFiltration:
         vertices, position = self.filtration.vertices, self.filtration._position
         essentials = [i for i in self.essentials if len(vertices[i]) == dim + 1]
         deaths = [j for _, j in self.pairs if len(vertices[j]) == dim + 1]
-        owners: dict[int, Reduced] = {}
+        owner_of: dict[int, int] = {}
         columns: dict[int, Reduced] = {}
         for j in sorted(deaths + essentials):
             combo = _column((j,) if essentials else (), (0,), self.field.p)
             # faces in vertex-omission order, the reverse of combinations
             faces = [position[f] for f in combinations(vertices[j], dim)][::-1] if dim else ()
             col = _column(faces, range(dim + 1), self.field.p)
-            low, col, combo = _reduce_column(col, _last_row, owners.get, self.field, combo)
+            low, col, combo = _reduce_column(col, combo, owner_of, columns, None, self.field.p)
             if low is not None:
-                owners[low] = (col, combo)
+                owner_of[low] = j
             columns[j] = (col, combo)
         self._boundary_cache[dim] = columns
         return columns
@@ -297,7 +300,7 @@ def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltr
     :class:`Filtration` is checked where it is made, so it is not
     checked here.
     """
-    vertices = filtration.vertices
+    vertices, p = filtration.vertices, field.p
     top = max(map(len, vertices), default=1)  # vertex count of the largest simplex
     by_dim: list[list[int]] = [[] for _ in range(top + 1)]
     for i, vs in enumerate(vertices):
@@ -307,8 +310,9 @@ def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltr
     essentials: list[int] = []
     cleared: set[int] = set()
     for d in range(top):
-        cells = by_dim[d + 1]  # row r of the coboundary matrix is cells[r]
-        k = d + 2  # faces per row: flat index t is face k - 1 - t % k of row t // k
+        cells = by_dim[d + 1]  # rank r of the coboundary rows is cells[r]
+        last = len(cells) - 1  # rank r is row last - r, so a column's pivot is its top row
+        k = d + 2  # faces per cell: flat index t is face k - 1 - t % k of rank t // k
         # the position of each d-simplex, to look up the faces of the cells
         position = dict(zip(map(vertices.__getitem__, by_dim[d]), by_dim[d])) if cells else {}
         faces = chain.from_iterable(map(combinations, map(vertices.__getitem__, cells), repeat(d + 1)))
@@ -320,30 +324,32 @@ def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltr
             cofaces[i].append(t)
         owner_of: dict[int, int] = {}  # pivot row -> simplex whose column owns it
         columns: dict[int, Reduced] = {}  # simplex -> column, once built
-        empty = _column((), (), field.p)
+        empty = _column((), (), p)
 
-        def column(i: int) -> Reduced:
-            if i not in columns:
-                ts = cofaces[i]
-                columns[i] = (_column([t // k for t in ts], (k - 1 - t % k for t in ts), field.p), empty)
-            return columns[i]
-
-        def owner(row: int) -> Reduced | None:
-            return column(owner_of[row]) if row in owner_of else None
+        def build(i: int) -> Reduced:
+            ts = cofaces[i]
+            if p == 2:  # _column's loop, inlined: this is the hot build
+                col = 0
+                for t in ts:
+                    col |= 1 << (last - t // k)
+            else:
+                col = _column([last - t // k for t in ts], (k - 1 - t % k for t in ts), p)
+            built = columns[i] = (col, empty)
+            return built
 
         for i in reversed(by_dim[d]):
             if i in cleared:
                 continue
-            row = cofaces[i][0] // k if cofaces[i] else None
+            row = last - cofaces[i][0] // k if cofaces[i] else None
             if row in owner_of:
-                row, col, _ = _reduce_column(column(i)[0], _first_row, owner, field, empty)
+                row, col, _ = _reduce_column(build(i)[0], empty, owner_of, columns, build, p)
                 columns[i] = (col, empty)
             if row is None:
                 essentials.append(i)
             else:
                 owner_of[row] = i
-                pairs.append((i, cells[row]))
-        cleared = {cells[r] for r in owner_of}
+                pairs.append((i, cells[last - row]))
+        cleared = {cells[last - r] for r in owner_of}
 
     pairs.sort(key=lambda pair: pair[1])
     essentials.sort()

@@ -415,6 +415,14 @@ def test_persist_simplex_budget_guard(edges_tsv, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("command", ["filtrate", "persist"])
+def test_negative_simplex_budget_is_refused(command, edges_tsv, capsys):
+    code, out, err = run([command, "--in", edges_tsv, "--max-simplices", "-1", "--out", "-"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("wordhom: error: max_simplices must be an integer >= 0, got -1")
+
+
 def test_output_headers_embed_configuration(edges_tsv, tmp_path, capsys):
     out = tmp_path / "barcode.tsv"
     run(

@@ -204,6 +204,23 @@ def test_simplex_budget_edge(max_dim):
         build_vr_filtration(g, max_dim=max_dim, max_simplices=count - 1)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tied_graphs(), st.integers(1, 4), st.sampled_from(("zero", "first-edge")))
+def test_budget_trips_exactly_past_the_brute_force_count(graph, max_dim, vertex_birth):
+    """Every budget from the count below the top dimension, where the
+    top level's batches start, up to the full count: the build refuses
+    exactly the budgets below the brute-force count."""
+    vertices, births = brute_force_vr(graph, max_dim, 1.0, vertex_birth)
+    below = sum(len(vs) <= max_dim for vs in vertices)
+    for budget in range(below, len(vertices) + 1):
+        if budget < len(vertices):
+            with pytest.raises(SimplexBudgetError, match=f"complex exceeds the {budget}-simplex budget"):
+                build_vr_filtration(graph, max_dim=max_dim, vertex_birth=vertex_birth, max_simplices=budget)
+        else:
+            filt = build_vr_filtration(graph, max_dim=max_dim, vertex_birth=vertex_birth, max_simplices=budget)
+            assert (filt.vertices, filt.births) == (vertices, births)
+
+
 def test_reduction_leaves_face_positions_unmade():
     filt = build_vr_filtration(random_dissimilarity_graph(random.Random(22)), max_dim=3)
     reduced = reduce_filtration(filt, PrimeField(2))
@@ -220,6 +237,14 @@ def test_max_dim_must_be_a_non_negative_integer():
     for bad in (2.5, True, -1, None):
         with pytest.raises(ValueError, match=f"max_dim must be an integer >= 0, got {bad!r}"):
             build_vr_filtration(g, max_dim=bad)
+
+
+def test_max_simplices_must_be_a_non_negative_integer():
+    g = WeightedGraph(3, {(0, 1): 0.5, (1, 2): 0.5})
+    for bad in (2.5, True, -1):
+        with pytest.raises(ValueError, match=f"max_simplices must be an integer >= 0, got {bad!r}"):
+            build_vr_filtration(g, max_simplices=bad)
+    assert len(build_vr_filtration(WeightedGraph(0, {}), max_simplices=0)) == 0
 
 
 def test_validate_complex_reports_missing_faces():
