@@ -17,10 +17,11 @@ from contextlib import contextmanager
 from . import __version__
 from .clustering import (
     SWEEP_METHODS,
-    cluster_by_method,
     markov_clusters,
     modularity,
+    persistence_clusters,
     sweep,
+    threshold_clusters,
 )
 from .complexes import VERTEX_BIRTH_MODES, SimplexBudgetError, build_vr_filtration
 from .corpus import DataFormatError, parse_edge_list, parse_stimulus_counts
@@ -269,15 +270,15 @@ def cmd_cluster(args) -> int:
     _check_paths(args, "out")
     corpus = _load_corpus(args)
     graph = corpus.to_weighted_graph()
-    method_params = _method_params(args)
     if args.method == "mcl":
-        result = markov_clusters(graph, args.inflation, **method_params)
+        result = markov_clusters(graph, args.inflation, **_method_params(args))
         clustering = result.clustering
         if not result.converged:
             _warn(f"mcl did not converge within --max-iter {args.max_iter} iterations")
+    elif args.method == "threshold":
+        clustering = threshold_clusters(graph, args.eps)
     else:
-        param = args.eps if args.method == "threshold" else args.tau
-        clustering = cluster_by_method(graph, args.method, param, **method_params)
+        clustering = persistence_clusters(graph, args.tau, args.vertex_birth)
     q = modularity(graph, clustering)
     with _open_out(args.out) as out:
         write_clustering_tsv(out, corpus, clustering, config=_config(args))

@@ -17,10 +17,10 @@ to the ``scipy.sparse`` operators and without importing ``scipy.sparse``
 (``UnionFind.label_array``) and score the label array, with no
 ``Clustering`` per point.
 
-Result types are named tuples. numpy is imported inside the functions
-that compute with it (relabelling and the modularity scorer) and by
-:mod:`wordhom.markov`, so importing this module loads neither numpy nor
-scipy.
+Result types are named tuples. numpy is imported only by the sweeps'
+relabelling, the modularity scorer and :mod:`wordhom.markov`: importing
+this module, or clustering at one threshold or persistence point, loads
+neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -59,14 +59,11 @@ class UnionFind:
         self.n_components -= 1
         return True
 
-    def labels(self) -> list[int]:
-        """Dense component labels in order of first appearance."""
-        return self.label_array()[0].tolist()
-
     def label_array(self):
-        """``labels()`` as an integer array, with the number of
-        components, by pointer jumping on a copy of ``parent``: no
-        ``find`` per vertex, and the forest is left as it is."""
+        """Dense component labels in order of first appearance, as an
+        integer array for the sweeps, with the number of components: by
+        pointer jumping on a copy of ``parent``, with no ``find`` per
+        vertex, and the forest is left as it is."""
         import numpy as np
 
         root = np.array(self.parent, dtype=np.intp)
@@ -88,7 +85,7 @@ class Clustering:
 
     __slots__ = ("labels", "n_clusters")
 
-    def __init__(self, labels: Sequence[int]):
+    def __init__(self, labels: Iterable[int]):
         dense: dict[int, int] = {}
         out = []
         for raw in labels:
@@ -162,7 +159,7 @@ def threshold_clusters(graph: WeightedGraph, eps: float) -> Clustering:
     edges = graph.merge_order()
     uf = UnionFind(graph.n)
     _merge(edges[: bisect_right(edges, (eps, math.inf))], uf, [0.0] * graph.n, eps)
-    return Clustering(uf.labels())
+    return Clustering(map(uf.find, range(graph.n)))
 
 
 def persistence_clusters(
@@ -180,14 +177,14 @@ def persistence_clusters(
     far, edge dissimilarity minus its birth, is at most tau. Rejected
     pairs stay separate: any later edge between them is at least as
     dissimilar while component births only decrease, so the lifetime
-    test can never pass afterwards.
+    test can never pass afterwards. ``Clustering`` relabels the roots once.
     """
     _check_tau(tau)
     edges = graph.merge_order()
     births = graph.vertex_births(vertex_birth)
     uf = UnionFind(graph.n)
     _merge(edges, uf, births, tau)
-    return Clustering(uf.labels())
+    return Clustering(map(uf.find, range(graph.n)))
 
 
 class MarkovResult(NamedTuple):
@@ -210,11 +207,11 @@ def _check_mcl(
     from numbers import Integral
 
     _check_inflation(inflation)
+    if not isinstance(expansion, Integral) or isinstance(expansion, bool):
+        raise ValueError("expansion must be an integer")
     if expansion < 2:
         raise ValueError("expansion must be >= 2")
-    if not isinstance(expansion, Integral):
-        raise ValueError("expansion must be an integer")
-    if not (isinstance(max_iter, Integral) and max_iter >= 1):
+    if not isinstance(max_iter, Integral) or isinstance(max_iter, bool) or max_iter < 1:
         raise ValueError("max_iter must be an integer >= 1")
     if not tol >= 0:  # also rejects nan
         raise ValueError("tol must be >= 0")
@@ -275,11 +272,6 @@ class _Scorer:
         self.w = np.array([e[2] for e in edges], dtype=np.float64)
         self.degrees = graph.degrees()
 
-    def __call__(self, clustering: Clustering) -> float:
-        import numpy as np
-
-        return self.score(np.array(clustering.labels, dtype=np.intp), clustering.n_clusters)
-
     def score(self, labels, k: int) -> float:
         """Modularity of the partition with dense ``labels`` 0..k-1 (an
         integer array, one label per vertex)."""
@@ -309,7 +301,9 @@ def modularity(graph: WeightedGraph, clustering: Clustering) -> float:
         raise ValueError(
             f"clustering covers {len(clustering)} vertices, graph has {graph.n}"
         )
-    return _Scorer(graph)(clustering)
+    import numpy as np
+
+    return _Scorer(graph).score(np.array(clustering.labels, dtype=np.intp), clustering.n_clusters)
 
 
 class SweepRow(NamedTuple):
@@ -336,16 +330,6 @@ class SweepResult(NamedTuple):
 
 
 SWEEP_METHODS = ("threshold", "persistence", "mcl")
-
-
-def cluster_by_method(graph: WeightedGraph, method: str, param: float, **params) -> Clustering:
-    if method == "threshold":
-        return threshold_clusters(graph, param)
-    if method == "persistence":
-        return persistence_clusters(graph, param, **params)
-    if method == "mcl":
-        return markov_clusters(graph, param, **params).clustering
-    raise ValueError(f"unknown method {method!r}; expected one of {SWEEP_METHODS}")
 
 
 def _mcl_point(args) -> tuple[SweepRow, bool]:
@@ -435,8 +419,10 @@ def sweep(
     point; grid order is preserved and ties for the best row go to the
     earliest grid point.
 
-    Each row equals ``SweepRow(p, modularity(graph, c), c.n_clusters)``
-    with ``c = cluster_by_method(graph, method, p, **params)``. Threshold
+    Each row equals ``SweepRow(p, modularity(graph, c), c.n_clusters)``,
+    where c is the per-point clustering at p: ``threshold_clusters(graph,
+    p)``, ``persistence_clusters(graph, p, **params)`` or
+    ``markov_clusters(graph, p, **params).clustering``. Threshold
     and persistence sweeps visit the grid in ascending order in one
     process and share one edge sort, vertex births and modularity
     scorer (see ``_threshold_rows`` and ``_persistence_rows``). Only MCL
@@ -445,6 +431,10 @@ def sweep(
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("sweep needs a non-empty parameter grid")
+    from numbers import Integral
+
+    if not isinstance(jobs, Integral) or isinstance(jobs, bool):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if method not in SWEEP_METHODS:

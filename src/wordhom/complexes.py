@@ -1,13 +1,12 @@
 """The word-association graph and the Vietoris-Rips filtrations built on it.
 
 :class:`WeightedGraph` is the one graph type of the package: it holds
-each edge's strength w and its dissimilarity d = 1 - w. Filtrations,
-thresholds and merge persistence read d in a merge order the graph
-sorts once; modularity and Markov flow read w in a pair order it also
-sorts once. A :class:`Filtration` holds sorted vertex tuples and births
-and makes :class:`Simplex` objects only on request. The module needs
-only the standard library; :meth:`WeightedGraph.degrees` imports numpy
-when it is called.
+each edge's strength w and its dissimilarity d = 1 - w. Filtrations
+read d from its edge map, thresholds and merge persistence in a merge
+order it sorts once, and modularity and Markov flow read w in a pair
+order it also sorts once. A :class:`Filtration` holds sorted vertex
+tuples and births and makes :class:`Simplex` objects only on request.
+Only :meth:`WeightedGraph.degrees` imports numpy, when it is called.
 """
 
 from __future__ import annotations
@@ -103,14 +102,6 @@ class WeightedGraph:
     def dissimilarity_events(self) -> tuple[float, ...]:
         """Sorted distinct edge dissimilarities."""
         return tuple(sorted(set(self._d.values())))
-
-    def adjacency(self) -> dict[int, dict[int, float]]:
-        """Dissimilarity of each neighbour, per vertex."""
-        adj: dict[int, dict[int, float]] = {v: {} for v in range(self.n)}
-        for (i, j), d in self._d.items():
-            adj[i][j] = d
-            adj[j][i] = d
-        return adj
 
     def vertex_births(self, mode: str) -> list[float]:
         """Birth value per vertex id under the given mode.
@@ -279,7 +270,10 @@ def build_vr_filtration(
         raise ValueError("max_eps must lie in [0, 1]")
 
     births = graph.vertex_births(vertex_birth)
-    near = [{u: d for u, d in adj.items() if u > v and d <= max_eps} for v, adj in graph.adjacency().items()]
+    near: list[dict[int, float]] = [{} for _ in range(graph.n)]  # near[v][u] = d(v, u) for u > v, d <= max_eps
+    for (v, u), d in graph._d.items():
+        if d <= max_eps:
+            near[v][u] = d
     budget = math.inf if max_simplices is None else max_simplices
     # by_dim[k] lists the k-simplices, and born[k] their births, in
     # lexicographic order: the order in which the search below meets them

@@ -56,13 +56,6 @@ class ParamsMixin:
         return f"{type(self).__name__}({args})"
 
 
-def check_fitted(estimator, attribute: str) -> None:
-    if not hasattr(estimator, attribute):
-        raise RuntimeError(
-            f"this {type(estimator).__name__} instance is not fitted yet; call fit() first"
-        )
-
-
 def _as_graph(x) -> WeightedGraph:
     if isinstance(x, WeightedGraph):
         return x
@@ -127,7 +120,8 @@ class _BaseClustering(ParamsMixin):
 
     def score(self, X=None, y=None) -> float:
         """Modularity of the fitted partition (higher is better)."""
-        check_fitted(self, "clustering_")
+        if not hasattr(self, "clustering_"):
+            raise RuntimeError(f"this {type(self).__name__} instance is not fitted yet; call fit() first")
         graph = self.graph_ if X is None else _as_graph(X)
         return modularity(graph, self.clustering_)
 

@@ -22,8 +22,8 @@ class PrimeField:
     """Modular arithmetic mod a prime p.
 
     Elements are plain ints in ``range(p)``. Construction rejects
-    composite moduli so that every nonzero element has an inverse
-    (:meth:`inv`).
+    composite moduli so that every nonzero element a has an inverse,
+    ``pow(a, p - 2, p)`` by Fermat, which the Z/p reduction step uses.
     """
 
     __slots__ = ("p",)
@@ -34,13 +34,6 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"field modulus must be prime, got {p}")
         self.p = p
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse of a nonzero element (Fermat)."""
-        a = a % self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, self.p - 2, self.p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p

@@ -607,6 +607,20 @@ def test_public_betti_leaves_numpy_unloaded():
     assert heavy_modules_loaded_by(script, ("numpy",)) == []
 
 
+def test_per_point_clustering_leaves_numpy_unloaded():
+    """Per-point threshold and persistence clustering relabel the
+    union-find roots once, in ``Clustering``, with no numpy array."""
+    script = "\n".join(
+        [
+            "import wordhom as wh",
+            "g = wh.synthetic_corpus(n_words=60).to_weighted_graph()",
+            "assert 1 < wh.threshold_clusters(g, 0.3).n_clusters < g.n",
+            "assert 1 < wh.persistence_clusters(g, 0.1).n_clusters < g.n",
+        ]
+    )
+    assert heavy_modules_loaded_by(script, ("numpy",)) == []
+
+
 def test_markov_flow_leaves_scipy_sparse_unloaded(cliques_tsv, tmp_path):
     """Markov flow calls scipy's compiled sparse kernels without running
     ``scipy.sparse``'s ``__init__``: the kernel extension is the only

@@ -18,7 +18,6 @@ from wordhom import (
     synthetic_corpus,
     threshold_clusters,
 )
-from wordhom.clustering import cluster_by_method
 from oracle import scaled
 
 
@@ -73,7 +72,7 @@ def test_label_array_equals_labels():
             first_seen = {}
             expected = [first_seen.setdefault(uf.find(v), len(first_seen)) for v in range(n)]
             assert (labels.tolist(), k) == (expected, uf.n_components)
-            assert uf.labels() == expected
+            assert Clustering(map(uf.find, range(n))).labels == tuple(expected)
 
 
 def test_threshold_cat_dog_scales():
@@ -223,8 +222,12 @@ def test_mcl_parameter_validation():
         {"expansion": 1},
         {"expansion": 2.5},
         {"expansion": 2.0},
+        {"expansion": "3"},
+        {"expansion": True},
         {"max_iter": 0},
         {"max_iter": 2.5},
+        {"max_iter": True},
+        {"max_iter": "5"},
         {"tol": math.nan},
         {"tol": -1e-8},
         {"prune": -0.1},
@@ -699,6 +702,13 @@ def test_sweep_refuses_fewer_than_one_job():
                 sweep(two_cliques(), method, [0.5, 2.0], jobs=jobs)
 
 
+def test_sweep_refuses_a_job_count_that_is_not_an_integer():
+    for method in ("threshold", "persistence", "mcl"):
+        for jobs in (1.5, True, "2"):
+            with pytest.raises(ValueError, match="jobs must be an integer"):
+                sweep(two_cliques(), method, [1.5, 2.0, 2.5], jobs=jobs)
+
+
 @st.composite
 def weighted_graphs(draw):
     """Small graphs whose weights often tie, so that equal dissimilarities
@@ -717,10 +727,11 @@ def grids(graph, extra=()):
     return st.lists(st.sampled_from(values) | st.floats(0.0, 1.0), min_size=1, max_size=12)
 
 
-def per_point_rows(graph, method, grid, **params):
+def per_point_rows(graph, grid, cluster):
+    """Rows by the sweep's definition: ``cluster(p)`` scored at each point."""
     rows = []
     for p in grid:
-        c = cluster_by_method(graph, method, p, **params)
+        c = cluster(p)
         rows.append(SweepRow(p, modularity(graph, c), c.n_clusters))
     return rows
 
@@ -730,18 +741,18 @@ def per_point_rows(graph, method, grid, **params):
 def test_sweep_rows_equal_per_point_route(data):
     g = data.draw(weighted_graphs())
     grid = data.draw(grids(g))
-    assert list(sweep(g, "threshold", grid).rows) == per_point_rows(g, "threshold", grid)
+    assert list(sweep(g, "threshold", grid).rows) == per_point_rows(g, grid, lambda eps: threshold_clusters(g, eps))
     grid = data.draw(grids(g, extra=(math.inf, 1.5)))
     for mode in ("zero", "first-edge"):
         result = sweep(g, "persistence", grid, vertex_birth=mode)
-        assert list(result.rows) == per_point_rows(g, "persistence", grid, vertex_birth=mode)
+        assert list(result.rows) == per_point_rows(g, grid, lambda tau: persistence_clusters(g, tau, mode))
 
 
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(weighted_graphs(), st.lists(st.sampled_from((1.5, 2.0, 3.0)), min_size=1, max_size=4))
 def test_mcl_sweep_in_workers_equals_per_point_route(g, grid):
     result = sweep(g, "mcl", grid, jobs=2, max_iter=3)
-    assert list(result.rows) == per_point_rows(g, "mcl", grid, max_iter=3)
+    assert list(result.rows) == per_point_rows(g, grid, lambda p: markov_clusters(g, p, max_iter=3).clustering)
     expected = tuple(p for p in grid if not markov_clusters(g, p, max_iter=3).converged)
     assert result.unconverged == expected
 

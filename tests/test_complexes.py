@@ -316,7 +316,8 @@ def test_graph_dissimilarity_view():
     assert g.weight(1, 0) == 0.7 and g.weight(0, 2) is None
     assert g.merge_order() == ((1.0 - 0.7, 0, 1), (1.0 - 0.1, 1, 2))
     assert g.dissimilarity_events() == (1.0 - 0.7, 1.0 - 0.1)
-    assert g.adjacency() == {0: {1: 1.0 - 0.7}, 1: {0: 1.0 - 0.7, 2: 1.0 - 0.1}, 2: {1: 1.0 - 0.1}}
+    filt = build_vr_filtration(g, max_dim=2)  # the filtration reads d from the edge map
+    assert filt.vertices[3:] == ((0, 1), (1, 2)) and filt.births[3:] == (1.0 - 0.7, 1.0 - 0.1)
     # given dissimilarities are kept exactly, strengths derived from them
     h = WeightedGraph.from_dissimilarities(2, {(0, 1): 0.3})
     assert h.dissimilarity(0, 1) == 0.3
