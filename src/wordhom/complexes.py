@@ -258,7 +258,7 @@ def build_vr_filtration(
     None sets no budget), so the build stops within one batch of the
     budget.
     """
-    from numbers import Integral
+    from numbers import Integral, Real
 
     if not isinstance(max_dim, Integral) or isinstance(max_dim, bool) or max_dim < 0:
         raise ValueError(f"max_dim must be an integer >= 0, got {max_dim!r}")
@@ -266,8 +266,8 @@ def build_vr_filtration(
         not isinstance(max_simplices, Integral) or isinstance(max_simplices, bool) or max_simplices < 0
     ):
         raise ValueError(f"max_simplices must be an integer >= 0, got {max_simplices!r}")
-    if not 0.0 <= max_eps <= 1.0:
-        raise ValueError("max_eps must lie in [0, 1]")
+    if not isinstance(max_eps, Real) or isinstance(max_eps, bool) or not 0.0 <= max_eps <= 1.0:
+        raise ValueError(f"max_eps must lie in [0, 1], got {max_eps!r}")
 
     births = graph.vertex_births(vertex_birth)
     near: list[dict[int, float]] = [{} for _ in range(graph.n)]  # near[v][u] = d(v, u) for u > v, d <= max_eps
@@ -327,6 +327,7 @@ def build_vr_filtration(
                 refuse()
 
     grow((), 0.0, [(v, b) for v, b in enumerate(births) if b <= max_eps])
+    del grow  # grow's closure cell holds grow itself: a cycle that would keep the working set alive
     # (birth, dim, vertices) order: the dimensions joined in turn, then
     # one stable sort of the positions by birth
     vertices = list(chain.from_iterable(by_dim))

@@ -8,7 +8,7 @@ are byte-identical.
 from __future__ import annotations
 
 import math
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Mapping, TextIO
 
@@ -38,11 +38,12 @@ def write_barcode_tsv(
     sorted by (k, birth, death); zero-length bars filtered by default."""
     write_header(stream, config)
     rows = []
-    for (k, birth, death), run in groupby(map(itemgetter(0, 1, 2), barcode.all_intervals(include_zero_length))):
+    bars = chain.from_iterable(barcode._rows(k, include_zero_length) for k in barcode.dims)
+    for (k, birth, death), run in groupby(bars, itemgetter(0, 1, 2)):
         if birth:  # then death is nonzero too, and equal values print alike
             rows.append(f"{k}\t{birth!r}\t{_fmt_value(death)}\n" * len(list(run)))
         else:  # 0.0 and -0.0 are equal but print apart
-            rows += (f"{k}\t{b!r}\t{_fmt_value(d)}\n" for _, b, d in run)
+            rows += (f"{k}\t{b!r}\t{_fmt_value(d)}\n" for _, b, d, _, _ in run)
     stream.write("".join(rows))
 
 

@@ -10,7 +10,8 @@ would reduce to zero, so it is skipped ("clearing", Chen & Kerber 2011,
 have empty coboundaries and cost nothing. The boundary and coboundary
 matrices have the same persistence pairing, so the barcode is that of
 the standard left-to-right boundary reduction. No :class:`Simplex` is
-made until a cycle is asked for.
+made until a cycle is asked for, and no :class:`Interval` until a caller
+asks for one: a barcode stores its bars as plain tuples.
 
 Over Z/2 a column is an ``int`` with bit r set when row r is nonzero,
 so adding a column is ``^``; over Z/p it is a dict from row to entry.
@@ -39,8 +40,7 @@ therefore those of the full left-to-right reduction.
 from __future__ import annotations
 
 import math
-import re
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, combinations, groupby, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -69,16 +69,22 @@ class Interval(NamedTuple):
     def is_infinite(self) -> bool:
         return math.isinf(self.death)
 
-    def alive_at(self, eps: float) -> bool:
-        return self.birth <= eps < self.death
-
     def sort_key(self):
         return (self.dim, self.birth, self.death, self.birth_index is None, self.birth_index or 0)
 
 
+_as_interval = partial(tuple.__new__, Interval)  # Interval(*row) without a Python-level call
+
+
 class Barcode:
     """Per-dimension collections of persistence intervals, each with
-    dim >= 0, a finite birth >= 0 and a death >= it (``inf`` if essential)."""
+    dim >= 0, a finite birth >= 0 and a death >= it (``inf`` if essential).
+
+    Bars are stored as rows ``(dim, birth, death, birth_index,
+    death_index)``, plain tuples from a reduction, which the cyclic
+    garbage collector untracks (it never untracks a named tuple);
+    :meth:`intervals` and :meth:`all_intervals` make :class:`Interval` on request.
+    """
 
     def __init__(self, intervals: Iterator[Interval] | list[Interval]):
         intervals = list(intervals)
@@ -87,47 +93,40 @@ class Barcode:
                 raise ValueError(f"interval needs dim >= 0, a finite birth >= 0 and a death >= it, got {iv}")
         self._set(intervals, Interval.sort_key)
 
-    def _set(self, intervals: list[Interval], key: Callable | None = None) -> "Barcode":
-        """Sort intervals by ``key`` (plain tuple order if None; either way
+    def _set(self, rows: list[tuple], key: Callable | None = None) -> "Barcode":
+        """Sort rows by ``key`` (plain tuple order if None; either way
         by dimension first) and store them by dimension, unchecked."""
-        intervals.sort(key=key)
-        self._by_dim = {k: tuple(run) for k, run in groupby(intervals, itemgetter(0))}
+        rows.sort(key=key)
+        self._by_dim = {k: tuple(run) for k, run in groupby(rows, itemgetter(0))}
         return self
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(self._by_dim)
 
-    def intervals(self, k: int, include_zero_length: bool = True) -> tuple[Interval, ...]:
-        group = self._by_dim.get(k, ())
+    def _rows(self, k: int, include_zero_length: bool = True) -> tuple[tuple, ...]:
+        """The stored dim-k rows in (birth, death) order, zero-length ones only if asked."""
+        rows = self._by_dim.get(k, ())
         if include_zero_length:
-            return group
-        return tuple(iv for iv in group if iv.death != iv.birth)
+            return rows
+        return tuple(row for row in rows if row[2] != row[1])
+
+    def intervals(self, k: int, include_zero_length: bool = True) -> tuple[Interval, ...]:
+        return tuple(map(_as_interval, self._rows(k, include_zero_length)))
 
     def all_intervals(self, include_zero_length: bool = True) -> list[Interval]:
-        out = []
-        for k in self.dims:
-            out.extend(self.intervals(k, include_zero_length))
-        return out
+        return [iv for k in self.dims for iv in self.intervals(k, include_zero_length)]
 
     def alive_count(self, k: int, eps: float) -> int:
         """Number of dim-k intervals containing eps; equals the k-th
         Betti number of the complex at that scale."""
-        return sum(1 for iv in self._by_dim.get(k, ()) if iv.alive_at(eps))
-
-    def max_finite_value(self) -> float:
-        values = [0.0]
-        for ivs in self._by_dim.values():
-            values.append(ivs[-1].birth)  # the largest: intervals sort by birth
-            values += set(map(itemgetter(2), ivs)) - {math.inf}
-        return max(values)
+        return sum(1 for _, birth, death, _, _ in self._rows(k) if birth <= eps < death)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Barcode):
             return False
-        mine = [(iv.dim, iv.birth, iv.death) for iv in self.all_intervals()]
-        theirs = [(iv.dim, iv.birth, iv.death) for iv in other.all_intervals()]
-        return mine == theirs
+        mine = [row[:3] for k in self.dims for row in self._rows(k)]
+        return mine == [row[:3] for k in other.dims for row in other._rows(k)]
 
     def __repr__(self) -> str:
         counts = ", ".join(f"k={k}: {len(v)}" for k, v in self._by_dim.items())
@@ -154,7 +153,11 @@ def _entries(col: Column) -> dict[int, int]:
     """Nonzero row -> entry."""
     if isinstance(col, dict):
         return col
-    return {m.start(): 1 for m in re.finditer("1", f"{col:b}"[::-1])}
+    rows = {}
+    while col:  # col & -col is the lowest set bit, and col & (col - 1) clears it
+        rows[(col & -col).bit_length() - 1] = 1
+        col &= col - 1
+    return rows
 
 
 def _reduce_column(
@@ -220,10 +223,9 @@ class ReducedFiltration:
         by construction and their birth indices are distinct, so plain
         tuple order is :meth:`Interval.sort_key` order and nothing is checked."""
         vertices, births = self.filtration.vertices, self.filtration.births
-        new = tuple.__new__  # new(Interval, row) is Interval(*row) without a Python-level call
-        intervals = [new(Interval, (len(vertices[i]) - 1, births[i], births[j], i, j)) for i, j in self.pairs]
-        intervals += (new(Interval, (len(vertices[i]) - 1, births[i], math.inf, i, None)) for i in self.essentials)
-        return Barcode.__new__(Barcode)._set(intervals)
+        rows = [(len(vertices[i]) - 1, births[i], births[j], i, j) for i, j in self.pairs]
+        rows += ((len(vertices[i]) - 1, births[i], math.inf, i, None) for i in self.essentials)
+        return Barcode.__new__(Barcode)._set(rows)
 
     @cached_property
     def _death_of(self) -> dict[int, int | None]:

@@ -49,18 +49,22 @@ def render_barcode_svg(
     XML comment after the declaration, mirroring the ``#`` headers of
     the TSV outputs. Output is deterministic for fixed input.
     """
-    groups = [
-        (k, barcode.intervals(k, include_zero_length=include_zero_length))
-        for k in barcode.dims
-    ]
-    groups = [(k, ivs) for k, ivs in groups if ivs]
+    groups = [(k, barcode._rows(k, include_zero_length)) for k in barcode.dims]
+    groups = [(k, rows) for k, rows in groups if rows]
 
-    if axis_max is None:
-        axis_max = barcode.max_finite_value() or 1.0
-    elif not (math.isfinite(axis_max) and axis_max > 0):
-        raise ValueError(f"axis_max must be finite and > 0, got {axis_max!r}")
+    if axis_max is None:  # the largest finite birth or death, zero-length bars included
+        values = [0.0]
+        for rows in map(barcode._rows, barcode.dims):
+            values.append(rows[-1][1])  # the largest birth: rows sort by birth
+            values += set(map(itemgetter(2), rows)) - {math.inf}
+        axis_max = max(values) or 1.0
+    else:
+        from numbers import Real
 
-    n_bars = sum(len(ivs) for _, ivs in groups)
+        if not isinstance(axis_max, Real) or isinstance(axis_max, bool) or not 0 < axis_max < math.inf:
+            raise ValueError(f"axis_max must be finite and > 0, got {axis_max!r}")
+
+    n_bars = sum(len(rows) for _, rows in groups)
     height = (
         _MARGIN_TOP
         + len(groups) * _GROUP_HEADER
@@ -109,16 +113,16 @@ def render_barcode_svg(
     # an arrowhead's x values are the same for every infinite bar
     base, tip = _fmt(right), _fmt(right + 12)
     y = _MARGIN_TOP
-    for k, intervals in groups:
+    for k, rows in groups:
         color = _PALETTE[k % len(_PALETTE)]
         out.append(
             f'<text x="8" y="{y + 14}" font-family="sans-serif" '
-            f'font-size="12" fill="{color}">k = {k} ({len(intervals)})</text>'
+            f'font-size="12" fill="{color}">k = {k} ({len(rows)})</text>'
         )
         y += _GROUP_HEADER
         # bars sort by (birth, death), so equal spans are adjacent and
         # each span's rect pieces are made once
-        for (birth, death), run in groupby(intervals, key=itemgetter(1, 2)):
+        for (birth, death), run in groupby(rows, key=itemgetter(1, 2)):
             x0 = x_of(birth)
             infinite = death == math.inf
             width = max((right if infinite else x_of(death)) - x0, 1.0)

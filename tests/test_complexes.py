@@ -239,6 +239,13 @@ def test_max_dim_must_be_a_non_negative_integer():
             build_vr_filtration(g, max_dim=bad)
 
 
+def test_max_eps_must_be_a_real_in_the_unit_interval():
+    g = WeightedGraph(3, {(0, 1): 0.5, (1, 2): 0.5})
+    for bad in (True, "1", None, -0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=rf"max_eps must lie in \[0, 1\], got {bad!r}"):
+            build_vr_filtration(g, max_eps=bad)
+
+
 def test_max_simplices_must_be_a_non_negative_integer():
     g = WeightedGraph(3, {(0, 1): 0.5, (1, 2): 0.5})
     for bad in (2.5, True, -1):

@@ -43,7 +43,7 @@ def test_single_interval_bar_geometry():
 
 def test_axis_max_must_be_finite_and_positive():
     bc = Barcode([Interval(0, 0.0, 0.4)])
-    for bad in (math.nan, math.inf, -1.0, 0.0):
+    for bad in (math.nan, math.inf, -1.0, 0.0, True, "2"):
         with pytest.raises(ValueError, match="axis_max must be finite and > 0"):
             render_barcode_svg(bc, axis_max=bad)
     # the derived default still falls back to [0, 1] for an all-zero barcode
