@@ -13,12 +13,15 @@ Markov flow's matrix code lives in :mod:`wordhom.markov`, imported on
 the first ``markov_clusters`` call: it holds CSC matrices as numpy
 arrays and calls scipy's compiled sparse kernels on them, byte-identical
 to the ``scipy.sparse`` operators and without importing ``scipy.sparse``
-(see that module). The sweeps relabel a union-find forest on arrays
-(``UnionFind.label_array``) and score the label array, with no
-``Clustering`` per point.
+(see that module). The sweeps index each cluster of a union-find forest
+by its least vertex, its slot (``UnionFind.slots``), with no
+``Clustering`` per point. One modularity scorer, ``_Scorer``, serves
+the sweeps and :func:`modularity`: it keeps a term per slot and
+recomputes only the terms whose cluster changed since the partition
+it scored last, with the loop form's floats.
 
 Result types are named tuples. numpy is imported only by the sweeps'
-relabelling, the modularity scorer and :mod:`wordhom.markov`: importing
+slots, the modularity scorer and :mod:`wordhom.markov`: importing
 this module, or clustering at one threshold or persistence point, loads
 neither numpy nor scipy.
 """
@@ -59,21 +62,20 @@ class UnionFind:
         self.n_components -= 1
         return True
 
-    def label_array(self):
-        """Dense component labels in order of first appearance, as an
-        integer array for the sweeps, with the number of components: by
-        pointer jumping on a copy of ``parent``, with no ``find`` per
-        vertex, and the forest is left as it is."""
+    def slots(self):
+        """Each vertex's slot, the least vertex of its set, as an integer
+        array for the sweeps: roots by pointer jumping on a copy of
+        ``parent``, with no ``find`` per vertex (the forest is left as
+        it is), then the least vertex of each root."""
         import numpy as np
 
         root = np.array(self.parent, dtype=np.intp)
         up = root[root]
         while not np.array_equal(up, root):
             root, up = up, up[up]
-        _, first, inverse = np.unique(root, return_index=True, return_inverse=True)
-        rank = np.empty(first.size, dtype=np.intp)
-        rank[np.argsort(first)] = np.arange(first.size)
-        return rank[inverse], first.size
+        least = np.full(len(root), len(root), dtype=np.intp)
+        np.minimum.at(least, root, np.arange(len(root)))
+        return least[root]
 
 
 class Clustering:
@@ -142,20 +144,33 @@ def _merge(edges: Sequence[tuple[float, int, int]], uf: UnionFind, birth: list[f
     return rejected
 
 
-def _check_eps(eps: float) -> None:
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+_RULES = {  # a real parameter's rule, as its message states it and as a test (false on nan)
+    "eps": ("lie in [0, 1]", lambda v: 0 <= v <= 1),
+    "tau": ("be >= 0", lambda v: v >= 0),  # inf is allowed
+    "inflation": ("be finite and > 1", lambda v: 1 < v < math.inf),
+    "prune": ("lie in [0, 1)", lambda v: 0 <= v < 1),
+    "tol": ("be >= 0", lambda v: v >= 0),
+    "self_loop": ("be finite and >= 0", lambda v: 0 <= v < math.inf),
+}
 
 
-def _check_tau(tau: float) -> None:
-    if not tau >= 0:  # also rejects nan; inf is allowed
-        raise ValueError("tau must be >= 0")
+def _real(name: str, x) -> None:
+    """Refuse x unless it is a real number, not a bool, that meets the
+    rule of parameter ``name``, with a ValueError that names it."""
+    rule, ok = _RULES[name]
+    if type(x) is not float:  # a sweep's grid is floats: no ABC check per point
+        from numbers import Real
+
+        if isinstance(x, bool) or not isinstance(x, Real):
+            raise ValueError(f"{name} must be a real number, got {x!r}")
+    if not ok(x):
+        raise ValueError(f"{name} must {rule}, got {x!r}")
 
 
 def threshold_clusters(graph: WeightedGraph, eps: float) -> Clustering:
     """Connected components of the subgraph whose edges have
     dissimilarity 1 - w at most eps."""
-    _check_eps(eps)
+    _real("eps", eps)
     edges = graph.merge_order()
     uf = UnionFind(graph.n)
     _merge(edges[: bisect_right(edges, (eps, math.inf))], uf, [0.0] * graph.n, eps)
@@ -179,7 +194,7 @@ def persistence_clusters(
     dissimilar while component births only decrease, so the lifetime
     test can never pass afterwards. ``Clustering`` relabels the roots once.
     """
-    _check_tau(tau)
+    _real("tau", tau)
     edges = graph.merge_order()
     births = graph.vertex_births(vertex_birth)
     uf = UnionFind(graph.n)
@@ -193,32 +208,20 @@ class MarkovResult(NamedTuple):
     n_iter: int
 
 
-def _check_inflation(inflation: float) -> None:
-    if not inflation > 1:  # also rejects nan
-        raise ValueError("inflation must be > 1")
-    if math.isinf(inflation):
-        raise ValueError("inflation must be finite")
-
-
 def _check_mcl(
     inflation: float, expansion: int, prune: float, max_iter: int, tol: float, self_loop: float
 ) -> None:
     """Reject Markov flow parameters the iteration cannot honour."""
     from numbers import Integral
 
-    _check_inflation(inflation)
+    for name, x in (("inflation", inflation), ("prune", prune), ("tol", tol), ("self_loop", self_loop)):
+        _real(name, x)
     if not isinstance(expansion, Integral) or isinstance(expansion, bool):
         raise ValueError("expansion must be an integer")
     if expansion < 2:
         raise ValueError("expansion must be >= 2")
     if not isinstance(max_iter, Integral) or isinstance(max_iter, bool) or max_iter < 1:
         raise ValueError("max_iter must be an integer >= 1")
-    if not tol >= 0:  # also rejects nan
-        raise ValueError("tol must be >= 0")
-    if not 0 <= prune < 1:
-        raise ValueError("prune must lie in [0, 1)")
-    if not (math.isfinite(self_loop) and self_loop >= 0):
-        raise ValueError("self_loop must be finite and >= 0")
 
 
 def markov_clusters(
@@ -250,15 +253,21 @@ def markov_clusters(
 
 
 class _Scorer:
-    """Weighted modularity of partitions of one graph.
+    """Weighted modularity of partitions of one graph, each given as an
+    index array: one index below n per vertex, the clusters in
+    increasing index order (a sweep's slots, or a clustering's labels).
 
-    Holds the pair-sorted edges, the float degrees and M, and sums them
-    in the order the loop form would: intra-cluster weights in edge
-    order, degree sums in vertex order, cluster terms in label order.
-    So every score is bit-identical however many partitions it scores.
+    The loop form sums intra-cluster weights in edge order, degree sums
+    in vertex order and the terms 2 * intra - ds**2 / M in cluster
+    order; so does this, by ``bincount`` (which adds in input order) and
+    one ``cumsum`` over a term per index. An index with no cluster holds
+    0.0, which leaves a partial sum as it is (none is -0.0). A term is
+    recomputed, with CPython's ``**`` as the loop squares, only where its
+    (intra, ds) changed since the last partition scored. So every score
+    is the loop's, bit for bit, whatever partitions came before.
     """
 
-    __slots__ = ("i", "j", "w", "degrees", "m_total")
+    __slots__ = ("i", "j", "w", "degrees", "m_total", "intra", "ds", "terms")
 
     def __init__(self, graph: WeightedGraph):
         import numpy as np
@@ -271,22 +280,24 @@ class _Scorer:
         self.j = np.array([e[1] for e in edges], dtype=np.intp)
         self.w = np.array([e[2] for e in edges], dtype=np.float64)
         self.degrees = graph.degrees()
+        self.intra = self.ds = np.zeros(graph.n)  # replaced, never written
+        self.terms = np.zeros(graph.n)
 
-    def score(self, labels, k: int) -> float:
-        """Modularity of the partition with dense ``labels`` 0..k-1 (an
-        integer array, one label per vertex)."""
+    def score(self, index) -> float:
+        """Modularity of the partition given by ``index`` (an integer array)."""
         import numpy as np
 
-        # bincount adds its weights one at a time in input order
-        li, lj = labels[self.i], labels[self.j]
+        n = len(index)
+        li, lj = index[self.i], index[self.j]
         same = li == lj
-        intra = np.bincount(li[same], weights=self.w[same], minlength=k).tolist()
-        degree_sum = np.bincount(labels, weights=self.degrees, minlength=k).tolist()
-        m_total = self.m_total
-        q = 0.0
-        for c in range(k):
-            q += 2.0 * intra[c] - degree_sum[c] ** 2 / m_total
-        return q / m_total
+        intra = np.bincount(li[same], weights=self.w[same], minlength=n)
+        ds = np.bincount(index, weights=self.degrees, minlength=n)
+        changed = np.flatnonzero((intra != self.intra) | (ds != self.ds))
+        terms, m_total = self.terms, self.m_total
+        for c, a, d in zip(changed.tolist(), intra[changed].tolist(), ds[changed].tolist()):
+            terms[c] = 2.0 * a - d**2 / m_total
+        self.intra, self.ds = intra, ds
+        return float(np.cumsum(terms)[-1]) / m_total
 
 
 def modularity(graph: WeightedGraph, clustering: Clustering) -> float:
@@ -303,7 +314,7 @@ def modularity(graph: WeightedGraph, clustering: Clustering) -> float:
         )
     import numpy as np
 
-    return _Scorer(graph).score(np.array(clustering.labels, dtype=np.intp), clustering.n_clusters)
+    return _Scorer(graph).score(np.array(clustering.labels, dtype=np.intp))
 
 
 class SweepRow(NamedTuple):
@@ -341,10 +352,10 @@ def _mcl_point(args) -> tuple[SweepRow, bool]:
 
 def _threshold_rows(graph: WeightedGraph, grid: list[float]) -> list[SweepRow]:
     """One ascending pass: each grid point adds the edges up to its eps
-    to a single union-find, and the partition is relabelled and scored
-    only where a union happened since the previous point."""
+    to a single union-find, and the partition's slots are taken and
+    scored only where a union happened since the previous point."""
     for eps in grid:
-        _check_eps(eps)
+        _real("eps", eps)
     order = sorted(range(len(grid)), key=grid.__getitem__)
     scorer = _Scorer(graph)
     edges = graph.merge_order()
@@ -358,9 +369,8 @@ def _threshold_rows(graph: WeightedGraph, grid: list[float]) -> list[SweepRow]:
         _merge(edges[done:stop], uf, zero, eps)
         done = stop
         if uf.n_components != seen_components:
-            seen_components = uf.n_components
-            labels, n_clusters = uf.label_array()
-            q = scorer.score(labels, n_clusters)
+            seen_components = n_clusters = uf.n_components
+            q = scorer.score(uf.slots())
         rows[idx] = SweepRow(eps, q, n_clusters)
     return rows
 
@@ -387,7 +397,7 @@ def _persistence_rows(
     from the one pass of ``_threshold_rows``.
     """
     for tau in grid:
-        _check_tau(tau)
+        _real("tau", tau)
     births = graph.vertex_births(vertex_birth)
     if vertex_birth == "zero":
         rows = _threshold_rows(graph, [min(tau, 1.0) for tau in grid])
@@ -402,8 +412,7 @@ def _persistence_rows(
         if not tau < rejected:
             uf = UnionFind(graph.n)
             rejected = _merge(edges, uf, list(births), tau)
-            labels, n_clusters = uf.label_array()
-            q = scorer.score(labels, n_clusters)
+            q, n_clusters = scorer.score(uf.slots()), uf.n_components
         rows[idx] = SweepRow(tau, q, n_clusters)
     return rows
 
@@ -444,7 +453,7 @@ def sweep(
     if method == "persistence":
         return SweepResult(method, tuple(_persistence_rows(graph, grid, **params)))
     for inflation in grid:  # the first point's call checks the shared parameters
-        _check_inflation(inflation)
+        _real("inflation", inflation)
     tasks = [(graph, param, params) for param in grid]
     workers = min(jobs, len(grid))
     if workers > 1:

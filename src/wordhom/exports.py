@@ -50,7 +50,7 @@ def write_barcode_tsv(
 def read_barcode_tsv(stream: TextIO) -> Barcode:
     """Read `k<TAB>birth<TAB>death` rows back; a negative k, a birth not
     finite and >= 0 or a death NaN or before it is a DataFormatError."""
-    intervals = []
+    rows = []
     for lineno, line, parts in _data_lines(stream, 3):
         try:
             k = int(parts[0])
@@ -64,8 +64,8 @@ def read_barcode_tsv(stream: TextIO) -> Barcode:
             raise DataFormatError(lineno, f"birth must be finite and >= 0, got {parts[1]!r}")
         if not death >= birth:
             raise DataFormatError(lineno, f"death must be a number >= birth {birth!r}, got {parts[2]!r}")
-        intervals.append(Interval(k, birth, death))
-    return Barcode.__new__(Barcode)._set(intervals, Interval.sort_key)
+        rows.append((k, birth, death, None, None))
+    return Barcode.__new__(Barcode)._set(rows, Interval.sort_key)
 
 
 def write_clustering_tsv(

@@ -15,6 +15,10 @@ private to scipy, so the tests pin each helper to its operator array
 for array, and a scipy release that changes either side fails there.
 Connected components come from ``cs_graph_components``, which no
 operator calls; the tests check its sizes against union-find.
+
+A round's convergence test builds the difference of two rounds only
+when their supports are the same size or hold an entry below ``tol``;
+otherwise the round cannot have converged (see :func:`flow`).
 """
 
 from __future__ import annotations
@@ -101,14 +105,17 @@ def _product(a, b, n_rows: int, cap=None):
     """``a @ b`` for an ``n_rows``-row ``a`` by ``csr_matmat``, the kernel
     ``@`` ends in, with ``@``'s (CSC-swapped) arguments, but sized by a
     bound instead of ``@``'s exact symbolic count (``csr_matmat_maxnnz``,
-    Gustavson 1978): column j holds at most min(cap_j, sum of
-    nnz(a[:, k]) over the k stored in b[:, j]) entries, where ``cap`` is
-    ``n_rows`` or one number per column. The kernel writes without a
-    bounds check, so a cap must hold for every column."""
+    Gustavson 1978). Column j holds at most cap_j entries, where ``cap``
+    is ``n_rows`` or one number per column, and at most the sum of
+    nnz(a[:, k]) over the k stored in b[:, j]. The kernel fills one
+    buffer column after column without a bounds check, so the buffer
+    takes the smaller of the two sums over j; the second is nnz(a[:, k])
+    times the entries b stores in row k, summed over k. A cap must hold
+    for every column."""
     n_cols = len(b[0]) - 1
-    reach = np.concatenate(([0], np.cumsum(np.diff(a[0])[b[1]])))[b[0]]
-    bound = np.minimum(np.diff(reach), n_rows if cap is None else cap)
-    args, out = _kernel_args(n_cols, int(bound.sum()), b, a)
+    reach = int(np.diff(a[0]) @ np.bincount(b[1], minlength=len(a[0]) - 1))
+    bound = min(reach, n_rows * n_cols if cap is None else int(cap.sum()))
+    args, out = _kernel_args(n_cols, bound, b, a)
     _sparsetools.csr_matmat(n_cols, n_rows, *args, *out)
     return _trimmed(*out)
 
@@ -116,27 +123,28 @@ def _product(a, b, n_rows: int, cap=None):
 def _rescale_prune_rescale(m, prune: float):
     """Normalize the columns, drop entries below ``prune``, normalize
     again: bit-identical to ``_normalize_columns`` on both sides of the
-    prune, without its diagonal products. That route's first product
-    reverses each column, so its second sums add it backwards: the
-    second sums here read each column reversed. A column that is or
-    becomes empty needs the self-loop, so such a step takes that route."""
+    prune, without its diagonal products. Each scaling is
+    ``csr_scale_rows`` (entry times its column's reciprocal sum, the
+    product the diagonal route forms) on exact-size copies, since the
+    route below reads m again; the prune zeroes entries and compacts
+    with ``csr_eliminate_zeros``. That route's first product reverses
+    each column, so its second sums add it backwards: they are taken
+    on the reversed data, whose columns start at the mirrored offsets.
+    A column that is or becomes empty needs the self-loop, so such a
+    step takes that route."""
     indptr, indices, data = m
     n = len(indptr) - 1
-    counts = np.diff(indptr)
-    if counts.all():
+    if np.diff(indptr).all():
         sums = np.add.reduceat(data, indptr[:-1])
         if sums.all():
-            data = np.repeat(1.0 / sums, counts)
-            data *= m[2]  # into a new array: the route below reads m again
-            keep = data >= max(prune, math.ulp(0.0))  # >= prune, and no zero
-            counts = np.add.reduceat(keep, indptr[:-1], dtype=indptr.dtype)
-            data = data[keep]
-            indices = indices[keep]
-            if counts.all():
-                indptr = np.concatenate(([0], np.cumsum(counts))).astype(indptr.dtype)
-                reverse = np.repeat(indptr[:-1] + indptr[1:] - 1, counts)
-                reverse -= np.arange(len(reverse), dtype=reverse.dtype)
-                data *= np.repeat(1.0 / np.add.reduceat(data[reverse], indptr[:-1]), counts)
+            indptr, indices, data = indptr.copy(), indices.copy(), data.copy()
+            _sparsetools.csr_scale_rows(n, n, indptr, indices, data, 1.0 / sums)
+            data *= data >= max(prune, math.ulp(0.0))  # zero each entry < prune (such an entry is finite and >= 0)
+            _sparsetools.csr_eliminate_zeros(n, n, indptr, indices, data)
+            if np.diff(indptr).all():
+                end = indptr[-1]
+                sums = np.add.reduceat(data[end - 1 :: -1], end - indptr[:0:-1])[::-1]
+                _sparsetools.csr_scale_rows(n, n, indptr, indices, data, 1.0 / sums)
                 _sparsetools.csr_eliminate_zeros(n, n, indptr, indices, data)  # the product route drops underflows too
                 return _trimmed(indptr, indices, data)
     indptr, indices, data = _normalize_columns(m)
@@ -156,7 +164,16 @@ def flow(
     the start matrix is block-diagonal by the components of its stored
     entries (every edge, zero weights included, and every self-loop), and
     products, entrywise powers, normalization (which adds only diagonal
-    entries) and pruning keep it block-diagonal."""
+    entries) and pruning keep it block-diagonal.
+
+    A round has converged when the largest |m - prev| is below ``tol``.
+    That needs the difference only when nnz(m) == nnz(prev) or an entry
+    of either is below ``tol``. Otherwise some position is stored in one
+    of them only (neither stores a position twice), with a value v >=
+    tol, and the difference there is v or -v. The kernel drops it only
+    if v = 0, and the largest |m - prev| is >= 0 all the same. So that
+    largest value is >= v >= tol and the round has not converged, for
+    every ``tol`` and ``prune``."""
     n = graph.n
     if n == 0:
         return [], True, 0
@@ -177,6 +194,8 @@ def flow(
             m = _product(m, prev, n, size)
         np.power(m[2], inflation, out=m[2])  # the product's own buffer
         m = _rescale_prune_rescale(m, prune)
+        if len(m[2]) != len(prev[2]) and min(m[2].min(), prev[2].min()) >= tol:
+            continue  # some entry v >= tol is stored in one of them only: |difference| >= v there
         if float(np.abs(_binop("minus", m, prev)[2]).max(initial=0.0)) < tol:  # its buffer dies here, not a round later
             return _markov_labels(m, n), True, n_iter
     return _markov_labels(m, n), False, max_iter

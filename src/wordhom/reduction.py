@@ -70,7 +70,9 @@ class Interval(NamedTuple):
         return math.isinf(self.death)
 
     def sort_key(self):
-        return (self.dim, self.birth, self.death, self.birth_index is None, self.birth_index or 0)
+        """Barcode order; it reads fields by position, so it also sorts
+        the plain rows a :class:`Barcode` stores."""
+        return (self[0], self[1], self[2], self[3] is None, self[3] or 0)
 
 
 _as_interval = partial(tuple.__new__, Interval)  # Interval(*row) without a Python-level call
@@ -81,8 +83,8 @@ class Barcode:
     dim >= 0, a finite birth >= 0 and a death >= it (``inf`` if essential).
 
     Bars are stored as rows ``(dim, birth, death, birth_index,
-    death_index)``, plain tuples from a reduction, which the cyclic
-    garbage collector untracks (it never untracks a named tuple);
+    death_index)``, plain tuples however the barcode was made, which the
+    cyclic garbage collector untracks (it never untracks a named tuple);
     :meth:`intervals` and :meth:`all_intervals` make :class:`Interval` on request.
     """
 
@@ -91,7 +93,7 @@ class Barcode:
         for iv in intervals:
             if not (iv.dim >= 0 and 0 <= iv.birth < math.inf and iv.death >= iv.birth):
                 raise ValueError(f"interval needs dim >= 0, a finite birth >= 0 and a death >= it, got {iv}")
-        self._set(intervals, Interval.sort_key)
+        self._set(list(map(tuple, intervals)), Interval.sort_key)
 
     def _set(self, rows: list[tuple], key: Callable | None = None) -> "Barcode":
         """Sort rows by ``key`` (plain tuple order if None; either way
@@ -147,17 +149,6 @@ def _column(rows: Iterable[int], ks: Iterable[int], p: int) -> Column:
             col |= 1 << r
         return col
     return {r: 1 if k % 2 == 0 else p - 1 for r, k in zip(rows, ks)}
-
-
-def _entries(col: Column) -> dict[int, int]:
-    """Nonzero row -> entry."""
-    if isinstance(col, dict):
-        return col
-    rows = {}
-    while col:  # col & -col is the lowest set bit, and col & (col - 1) clears it
-        rows[(col & -col).bit_length() - 1] = 1
-        col &= col - 1
-    return rows
 
 
 def _reduce_column(
@@ -280,7 +271,12 @@ class ReducedFiltration:
             terms = {i: 1}
         else:
             terms, _ = self._boundary_columns(interval.dim + 1)[j]
-        return Chain(interval.dim, {Simplex(vertices[r]): v for r, v in _entries(terms).items()})
+        if not isinstance(terms, dict):  # a Z/2 bitset: entry 1 on each set bit
+            bits, terms = terms, {}
+            while bits:  # bits & -bits is the lowest set bit, and bits & (bits - 1) clears it
+                terms[(bits & -bits).bit_length() - 1] = 1
+                bits &= bits - 1
+        return Chain(interval.dim, {Simplex(vertices[r]): v for r, v in terms.items()})
 
     def __repr__(self) -> str:
         return (

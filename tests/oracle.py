@@ -200,6 +200,27 @@ def scaled(graph, factor: float):
     return type(graph)(graph.n, {(i, j): w * factor for i, j, w in graph.pair_sorted_edges()})
 
 
+def modularity_loop(graph, labels: Sequence[int]) -> float:
+    """Weighted modularity by its loop form, in plain Python: intra-cluster
+    weights added in pair order, degree sums in vertex order, then the
+    terms 2 * intra - ds**2 / M added from 0.0 in order of each cluster's
+    least vertex, and the sum divided by M = 2 * total weight. It shares
+    no code with the package's scorer, so it pins that scorer's floats."""
+    m_total = 2.0 * graph.total_weight()
+    order: dict[int, None] = dict.fromkeys(labels)  # labels by least vertex
+    intra = dict.fromkeys(order, 0.0)
+    for i, j, w in graph.pair_sorted_edges():
+        if labels[i] == labels[j]:
+            intra[labels[i]] += w
+    degree_sum = dict.fromkeys(order, 0.0)
+    for v, k in enumerate(graph.degrees().tolist()):
+        degree_sum[labels[v]] += k
+    q = 0.0
+    for c in order:
+        q += 2.0 * intra[c] - degree_sum[c] ** 2 / m_total
+    return q / m_total
+
+
 def kernel_basis_mod_p(matrix: np.ndarray, p: int) -> list[np.ndarray]:
     """Basis of the null space of a matrix over Z/p, one vector per free column."""
     a = np.atleast_2d(np.asarray(matrix, dtype=np.int64))

@@ -2,9 +2,10 @@ import itertools
 import math
 import pickle
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wordhom import (
     Clustering,
@@ -18,7 +19,7 @@ from wordhom import (
     synthetic_corpus,
     threshold_clusters,
 )
-from oracle import scaled
+from oracle import modularity_loop, scaled
 
 
 def random_weighted_graph(rng, n_min=5, n_max=14, p_edge=0.5):
@@ -58,7 +59,7 @@ def test_threshold_extremes():
     assert full.n_clusters == uf.n_components
 
 
-def test_label_array_equals_labels():
+def test_slots_equal_least_vertex_by_find():
     from wordhom import UnionFind
 
     rng = random.Random(2)
@@ -67,12 +68,16 @@ def test_label_array_equals_labels():
         for _ in range(rng.randint(0, 2 * n)):
             uf.union(rng.randrange(n), rng.randrange(n))
             parent = list(uf.parent)
-            labels, k = uf.label_array()
+            slots = uf.slots().tolist()
             assert uf.parent == parent  # no path compression on the forest
-            first_seen = {}
-            expected = [first_seen.setdefault(uf.find(v), len(first_seen)) for v in range(n)]
-            assert (labels.tolist(), k) == (expected, uf.n_components)
-            assert Clustering(map(uf.find, range(n))).labels == tuple(expected)
+            least = {}
+            for v in range(n):  # ascending, so the first vertex of a set is its least
+                least.setdefault(uf.find(v), v)
+            assert slots == [least[uf.find(v)] for v in range(n)]
+            assert len(set(slots)) == uf.n_components
+            # slots in increasing order are the clusters in Clustering's label order
+            dense = {s: k for k, s in enumerate(sorted(set(slots)))}
+            assert Clustering(map(uf.find, range(n))).labels == tuple(dense[s] for s in slots)
 
 
 def test_threshold_cat_dog_scales():
@@ -191,9 +196,75 @@ def test_inflation_step_equals_normalize_route(n, seed, prune, inflation):
     expected.data[expected.data < prune] = 0.0
     expected.eliminate_zeros()
     expected = as_csc(sparse, _normalize_columns(parts(expected)), m.shape)
-    got = as_csc(sparse, _rescale_prune_rescale(parts(m), prune), m.shape)
+    arrays = parts(m)
+    got = as_csc(sparse, _rescale_prune_rescale(arrays, prune), m.shape)
     for name in ("indptr", "indices", "data"):
         assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    # the input is left as it was: the self-loop route reads it again
+    for name, array in zip(("indptr", "indices", "data"), arrays):
+        assert array.tobytes() == getattr(m, name).tobytes(), name
+
+
+@pytest.mark.parametrize("prune", [0.0, 1e-5])
+def test_inflation_step_keeps_what_the_normalize_route_keeps_when_a_sum_overflows(prune):
+    """Column 0 sums to a subnormal, whose reciprocal is inf, so its
+    stored zero (an underflowed power) becomes NaN. The normalize route
+    keeps that entry, since NaN is not below ``prune``, and so must the
+    fast path: array for array, NaN bytes included."""
+    np = pytest.importorskip("numpy")
+    from wordhom.markov import _normalize_columns, _rescale_prune_rescale, _sparsetools, _trimmed
+
+    m = (np.array([0, 2, 3], dtype=np.int32), np.array([0, 1, 1], dtype=np.int32), np.array([1e-310, 0.0, 0.5]))
+    with np.errstate(all="ignore"):
+        indptr, indices, data = _normalize_columns(m)
+        data[data < prune] = 0.0
+        _sparsetools.csr_eliminate_zeros(2, 2, indptr, indices, data)
+        expected = _normalize_columns(_trimmed(indptr, indices, data))
+        got = _rescale_prune_rescale(m, prune)
+    assert np.isnan(expected[2]).sum() == 2
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-8, 1e-3, 1.0])
+@pytest.mark.parametrize("prune", [0.0, 1e-5, 0.2])
+def test_convergence_decisions_equal_the_full_difference(tol, prune):
+    """Flow builds no difference when the supports differ and no stored
+    entry is below tol; every round's decision must still be the one the
+    minus kernel gives (the largest |m - prev| below tol), so the flow
+    stops at the same round with the same partition."""
+    np = pytest.importorskip("numpy")
+    pytest.importorskip("scipy")
+    from wordhom import markov
+
+    graphs = [two_cliques(), synthetic_corpus(n_words=60, seed=2).to_weighted_graph()]
+    graphs += [graph_of_components(random.Random(seed), [5, 7, 3], 2, zero) for seed, zero in ((1, 0.0), (2, 0.3))]
+    product, rescale = markov._product, markov._rescale_prune_rescale
+    skipped = 0
+    for g in graphs:
+        prevs, iterates = [], []
+
+        def round_product(a, b, n_rows, cap=None):
+            if a is b:  # a round's first product is prev @ prev
+                prevs.append(b)
+            return product(a, b, n_rows, cap)
+
+        def round_end(m, p):
+            iterates.append(rescale(m, p))
+            return iterates[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(markov, "_product", round_product)
+            mp.setattr(markov, "_rescale_prune_rescale", round_end)
+            result = markov_clusters(g, 2.0, prune=prune, tol=tol, max_iter=25)
+        full = [float(np.abs(markov._binop("minus", m, prev)[2]).max(initial=0.0)) < tol for m, prev in zip(iterates, prevs)]
+        assert (len(full), len(prevs)) == (result.n_iter, result.n_iter)
+        assert full == [False] * (result.n_iter - 1) + [result.converged]
+        assert result.clustering == Clustering(markov._markov_labels(iterates[-1], g.n))
+        skipped += sum(
+            len(m[2]) != len(prev[2]) and min(m[2].min(), prev[2].min()) >= tol for m, prev in zip(iterates, prevs)
+        )
+    if tol <= prune:
+        assert skipped  # the shortcut was taken
 
 
 def test_result_types_are_value_tuples():
@@ -244,6 +315,29 @@ def test_mcl_parameter_validation():
             sweep(g, "mcl", [2.0, 3.0], **params)
     edge = markov_clusters(g, 2.0, expansion=3, max_iter=1, tol=math.inf, prune=0.0, self_loop=0.0)
     assert edge.converged and edge.n_iter == 1
+
+
+REAL_PARAMETERS = {
+    "eps": lambda g, x: threshold_clusters(g, x),
+    "tau": lambda g, x: persistence_clusters(g, x),
+    "inflation": lambda g, x: markov_clusters(g, x),
+    "prune": lambda g, x: markov_clusters(g, 2.0, prune=x),
+    "tol": lambda g, x: markov_clusters(g, 2.0, tol=x),
+    "self_loop": lambda g, x: markov_clusters(g, 2.0, self_loop=x),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5", None, 1j])
+@pytest.mark.parametrize("name", sorted(REAL_PARAMETERS))
+def test_real_parameters_refuse_bools_and_non_reals(name, value):
+    """A bool is not a number here (``True`` would cluster at 1) and a
+    string fails with a ValueError naming the parameter, not a TypeError
+    from a comparison."""
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
+        REAL_PARAMETERS[name](two_cliques(), value)
+    if name in ("prune", "tol", "self_loop"):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            sweep(two_cliques(), "mcl", [2.0], **{name: value})
 
 
 def test_mcl_sweep_checks_every_point_first(monkeypatch):
@@ -755,6 +849,39 @@ def test_mcl_sweep_in_workers_equals_per_point_route(g, grid):
     assert list(result.rows) == per_point_rows(g, grid, lambda p: markov_clusters(g, p, max_iter=3).clustering)
     expected = tuple(p for p in grid if not markov_clusters(g, p, max_iter=3).converged)
     assert result.unconverged == expected
+
+
+@st.composite
+def graphs_with_idle_vertices(draw):
+    """Graphs with zero-weight edges (dissimilarity 1) and isolated
+    vertices, at least one edge of nonzero weight."""
+    n = draw(st.integers(2, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    d = st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.0)) | st.floats(0.0, 1.0)
+    graph = WeightedGraph.from_dissimilarities(n + draw(st.integers(0, 3)), {e: draw(d) for e in chosen})
+    assume(graph.total_weight() > 0)
+    return graph
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_sweep_scores_equal_the_loop_oracle(data):
+    """Every threshold and persistence row (both birth modes) scores the
+    per-point partition with exactly the loop form's float, and so does
+    ``modularity`` on arbitrary labels."""
+    g = data.draw(graphs_with_idle_vertices())
+    grid = data.draw(grids(g))
+    for row in sweep(g, "threshold", grid).rows:
+        c = threshold_clusters(g, row.param)
+        assert (repr(row.q), row.n_clusters) == (repr(modularity_loop(g, c.labels)), c.n_clusters)
+    grid = data.draw(grids(g, extra=(math.inf, 1.5)))
+    for mode in ("zero", "first-edge"):
+        for row in sweep(g, "persistence", grid, vertex_birth=mode).rows:
+            c = persistence_clusters(g, row.param, mode)
+            assert (repr(row.q), row.n_clusters) == (repr(modularity_loop(g, c.labels)), c.n_clusters)
+    labels = Clustering(data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))).labels
+    assert repr(modularity(g, Clustering(labels))) == repr(modularity_loop(g, labels))
 
 
 def test_threshold_and_modularity_match_networkx():

@@ -175,6 +175,24 @@ def test_read_barcode_tsv_checks_each_row_once(monkeypatch):
         Barcode(read + [Interval(1, 0.5, 0.25)])
 
 
+def test_no_stored_barcode_row_is_tracked_after_a_collection():
+    """However a barcode is made, it stores plain rows, which the cyclic
+    collector untracks; it never untracks a named tuple like Interval."""
+    import gc
+
+    made = {
+        "read back": read_barcode_tsv(io.StringIO("# field=2\n0\t0.0\t0.5\n1\t0.25\tinf\n")),
+        "public": Barcode([Interval(0, 0.0, 0.5), Interval(1, 0.25, math.inf, 3, None)]),
+        "reduced": sample_reduction().barcode(),
+    }
+    gc.collect()
+    for how, barcode in made.items():
+        rows = [row for k in barcode.dims for row in barcode._rows(k)]
+        assert rows and all(type(row) is tuple for row in rows), how
+        assert not any(gc.is_tracked(row) for row in rows), how
+    assert made["public"].all_intervals() == [Interval(0, 0.0, 0.5), Interval(1, 0.25, math.inf, 3, None)]
+
+
 def test_barcode_tsv_prints_equal_rows_alike_and_signed_zeros_apart():
     rows = [(0, -0.0, 0.5), (0, 0.0, 0.5), (0, -0.0, 0.5), (1, 0.25, math.inf), (1, 0.25, math.inf), (1, 0.25, 0.75)]
     buf = io.StringIO()
