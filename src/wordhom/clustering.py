@@ -32,7 +32,7 @@ import math
 from bisect import bisect_right
 from typing import Iterable, NamedTuple, Sequence
 
-from .complexes import WeightedGraph
+from .complexes import WeightedGraph, _checked
 
 
 class UnionFind:
@@ -144,33 +144,10 @@ def _merge(edges: Sequence[tuple[float, int, int]], uf: UnionFind, birth: list[f
     return rejected
 
 
-_RULES = {  # a real parameter's rule, as its message states it and as a test (false on nan)
-    "eps": ("lie in [0, 1]", lambda v: 0 <= v <= 1),
-    "tau": ("be >= 0", lambda v: v >= 0),  # inf is allowed
-    "inflation": ("be finite and > 1", lambda v: 1 < v < math.inf),
-    "prune": ("lie in [0, 1)", lambda v: 0 <= v < 1),
-    "tol": ("be >= 0", lambda v: v >= 0),
-    "self_loop": ("be finite and >= 0", lambda v: 0 <= v < math.inf),
-}
-
-
-def _real(name: str, x) -> None:
-    """Refuse x unless it is a real number, not a bool, that meets the
-    rule of parameter ``name``, with a ValueError that names it."""
-    rule, ok = _RULES[name]
-    if type(x) is not float:  # a sweep's grid is floats: no ABC check per point
-        from numbers import Real
-
-        if isinstance(x, bool) or not isinstance(x, Real):
-            raise ValueError(f"{name} must be a real number, got {x!r}")
-    if not ok(x):
-        raise ValueError(f"{name} must {rule}, got {x!r}")
-
-
 def threshold_clusters(graph: WeightedGraph, eps: float) -> Clustering:
     """Connected components of the subgraph whose edges have
     dissimilarity 1 - w at most eps."""
-    _real("eps", eps)
+    _checked("eps", eps)
     edges = graph.merge_order()
     uf = UnionFind(graph.n)
     _merge(edges[: bisect_right(edges, (eps, math.inf))], uf, [0.0] * graph.n, eps)
@@ -194,7 +171,7 @@ def persistence_clusters(
     dissimilar while component births only decrease, so the lifetime
     test can never pass afterwards. ``Clustering`` relabels the roots once.
     """
-    _real("tau", tau)
+    _checked("tau", tau)
     edges = graph.merge_order()
     births = graph.vertex_births(vertex_birth)
     uf = UnionFind(graph.n)
@@ -206,22 +183,6 @@ class MarkovResult(NamedTuple):
     clustering: Clustering
     converged: bool
     n_iter: int
-
-
-def _check_mcl(
-    inflation: float, expansion: int, prune: float, max_iter: int, tol: float, self_loop: float
-) -> None:
-    """Reject Markov flow parameters the iteration cannot honour."""
-    from numbers import Integral
-
-    for name, x in (("inflation", inflation), ("prune", prune), ("tol", tol), ("self_loop", self_loop)):
-        _real(name, x)
-    if not isinstance(expansion, Integral) or isinstance(expansion, bool):
-        raise ValueError("expansion must be an integer")
-    if expansion < 2:
-        raise ValueError("expansion must be >= 2")
-    if not isinstance(max_iter, Integral) or isinstance(max_iter, bool) or max_iter < 1:
-        raise ValueError("max_iter must be an integer >= 1")
 
 
 def markov_clusters(
@@ -245,7 +206,9 @@ def markov_clusters(
     stops when the largest entry change falls below ``tol``; hitting
     ``max_iter`` first is reported via ``converged=False``.
     """
-    _check_mcl(inflation, expansion, prune, max_iter, tol, self_loop)
+    names = ("inflation", "expansion", "prune", "max_iter", "tol", "self_loop")
+    for name, x in zip(names, (inflation, expansion, prune, max_iter, tol, self_loop)):
+        _checked(name, x)
     from .markov import flow
 
     labels, converged, n_iter = flow(graph, inflation, expansion, prune, max_iter, tol, self_loop)
@@ -354,8 +317,6 @@ def _threshold_rows(graph: WeightedGraph, grid: list[float]) -> list[SweepRow]:
     """One ascending pass: each grid point adds the edges up to its eps
     to a single union-find, and the partition's slots are taken and
     scored only where a union happened since the previous point."""
-    for eps in grid:
-        _real("eps", eps)
     order = sorted(range(len(grid)), key=grid.__getitem__)
     scorer = _Scorer(graph)
     edges = graph.merge_order()
@@ -396,8 +357,6 @@ def _persistence_rows(
     the pass at tau is the threshold pass at min(tau, 1); those rows come
     from the one pass of ``_threshold_rows``.
     """
-    for tau in grid:
-        _real("tau", tau)
     births = graph.vertex_births(vertex_birth)
     if vertex_birth == "zero":
         rows = _threshold_rows(graph, [min(tau, 1.0) for tau in grid])
@@ -437,24 +396,19 @@ def sweep(
     scorer (see ``_threshold_rows`` and ``_persistence_rows``). Only MCL
     points are fanned out, over ``min(jobs, len(grid))`` worker processes.
     """
-    grid = [float(g) for g in grid]
+    grid = list(grid)
     if not grid:
         raise ValueError("sweep needs a non-empty parameter grid")
-    from numbers import Integral
-
-    if not isinstance(jobs, Integral) or isinstance(jobs, bool):
-        raise ValueError(f"jobs must be an integer, got {jobs!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _checked("jobs", jobs)
     if method not in SWEEP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {SWEEP_METHODS}")
+    name = {"threshold": "eps", "persistence": "tau", "mcl": "inflation"}[method]
+    grid = [float(_checked(name, p)) for p in grid]  # every point, before any work
     if method == "threshold":
         return SweepResult(method, tuple(_threshold_rows(graph, grid)))
     if method == "persistence":
         return SweepResult(method, tuple(_persistence_rows(graph, grid, **params)))
-    for inflation in grid:  # the first point's call checks the shared parameters
-        _real("inflation", inflation)
-    tasks = [(graph, param, params) for param in grid]
+    tasks = [(graph, param, params) for param in grid]  # each point's call checks the shared parameters
     workers = min(jobs, len(grid))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

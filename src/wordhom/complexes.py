@@ -24,6 +24,45 @@ if TYPE_CHECKING:
 VERTEX_BIRTH_MODES = ("zero", "first-edge")
 
 
+# The rule of every public numeric parameter: its usual type (float for a
+# real number, int for an integer), a test of the value (false on nan), and
+# the message that follows the name when the test fails, formatted with the
+# value. Integer parameters refuse a float, and none takes a bool.
+_RULES = {
+    "eps": (float, lambda v: 0 <= v <= 1, "must lie in [0, 1], got {!r}"),
+    "max_eps": (float, lambda v: 0 <= v <= 1, "must lie in [0, 1], got {!r}"),
+    "tau": (float, lambda v: v >= 0, "must be >= 0, got {!r}"),  # inf is allowed
+    "inflation": (float, lambda v: 1 < v < math.inf, "must be finite and > 1, got {!r}"),
+    "prune": (float, lambda v: 0 <= v < 1, "must lie in [0, 1), got {!r}"),
+    "tol": (float, lambda v: v >= 0, "must be >= 0, got {!r}"),
+    "self_loop": (float, lambda v: 0 <= v < math.inf, "must be finite and >= 0, got {!r}"),
+    "scale": (float, math.isfinite, "{} must be finite"),
+    "axis_max": (float, lambda v: 0 < v < math.inf, "must be finite and > 0, got {!r}"),
+    "k": (int, lambda v: v >= 0, "must be >= 0"),
+    "max_dim": (int, lambda v: v >= 0, "must be an integer >= 0, got {!r}"),
+    "max_simplices": (int, lambda v: v >= 0, "must be an integer >= 0, got {!r}"),
+    "expansion": (int, lambda v: v >= 2, "must be >= 2"),
+    "max_iter": (int, lambda v: v >= 1, "must be an integer >= 1"),
+    "jobs": (int, lambda v: v >= 1, "must be >= 1, got {}"),
+    "vertex count": (int, lambda v: v >= 0, "must be non-negative"),
+}
+
+
+def _checked(name: str, x):
+    """Return x if it meets the rule of parameter ``name``; otherwise raise
+    a ValueError that names the parameter."""
+    usual, ok, message = _RULES[name]
+    if type(x) is not usual:  # the values the CLI and the sweeps pass skip the ABC check
+        from numbers import Integral, Real
+
+        abc, kind = (Real, "a real number") if usual is float else (Integral, "an integer")
+        if isinstance(x, bool) or not isinstance(x, abc):
+            raise ValueError(f"{name} must be {kind}, got {x!r}")
+    if not ok(x):
+        raise ValueError(f"{name} {message.format(x)}")
+    return x
+
+
 class SimplexBudgetError(RuntimeError):
     """Raised when a complex would exceed the configured simplex budget."""
 
@@ -133,7 +172,10 @@ class WeightedGraph:
         return np.array(k, dtype=np.float64)
 
     def total_weight(self) -> float:
-        return float(sum(self._w.values()))
+        total = 0.0  # left to right, as degrees() adds: sum() compensates from Python 3.12 on
+        for w in self._w.values():
+            total += w
+        return total
 
     def __eq__(self, other) -> bool:
         return (
@@ -150,8 +192,7 @@ class WeightedGraph:
 def _checked_edges(n: int, values: Mapping[tuple[int, int], float], name: str, zero_ok: bool) -> dict:
     """Float copy of per-edge values in (0, 1], or [0, 1] if ``zero_ok``,
     keyed by ordered pairs within range(n)."""
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
+    _checked("vertex count", n)
     checked = {}
     for (i, j), v in values.items():
         if not (0 <= i < j < n):
@@ -258,17 +299,10 @@ def build_vr_filtration(
     None sets no budget), so the build stops within one batch of the
     budget.
     """
-    from numbers import Integral, Real
-
-    if not isinstance(max_dim, Integral) or isinstance(max_dim, bool) or max_dim < 0:
-        raise ValueError(f"max_dim must be an integer >= 0, got {max_dim!r}")
-    if max_simplices is not None and (
-        not isinstance(max_simplices, Integral) or isinstance(max_simplices, bool) or max_simplices < 0
-    ):
-        raise ValueError(f"max_simplices must be an integer >= 0, got {max_simplices!r}")
-    if not isinstance(max_eps, Real) or isinstance(max_eps, bool) or not 0.0 <= max_eps <= 1.0:
-        raise ValueError(f"max_eps must lie in [0, 1], got {max_eps!r}")
-
+    _checked("max_dim", max_dim)
+    if max_simplices is not None:
+        _checked("max_simplices", max_simplices)
+    _checked("max_eps", max_eps)
     births = graph.vertex_births(vertex_birth)
     near: list[dict[int, float]] = [{} for _ in range(graph.n)]  # near[v][u] = d(v, u) for u > v, d <= max_eps
     for (v, u), d in graph._d.items():

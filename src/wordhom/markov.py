@@ -173,7 +173,14 @@ def flow(
     tol, and the difference there is v or -v. The kernel drops it only
     if v = 0, and the largest |m - prev| is >= 0 all the same. So that
     largest value is >= v >= tol and the round has not converged, for
-    every ``tol`` and ``prune``."""
+    every ``tol`` and ``prune``.
+
+    A column sum below 1 / DBL_MAX (about 5.6e-309, reached by a large
+    inflation) has an infinite reciprocal, and the matrix fills with
+    NaN. The shortcut's test is then false (m's minimum is NaN, and
+    ``min`` keeps its first argument), so the round takes the
+    difference, whose largest value is NaN, and the flow stops with a
+    ValueError that names the inflation."""
     n = graph.n
     if n == 0:
         return [], True, 0
@@ -196,8 +203,14 @@ def flow(
         m = _rescale_prune_rescale(m, prune)
         if len(m[2]) != len(prev[2]) and min(m[2].min(), prev[2].min()) >= tol:
             continue  # some entry v >= tol is stored in one of them only: |difference| >= v there
-        if float(np.abs(_binop("minus", m, prev)[2]).max(initial=0.0)) < tol:  # its buffer dies here, not a round later
+        largest = float(np.abs(_binop("minus", m, prev)[2]).max(initial=0.0))  # its buffer dies here, not a round later
+        if largest < tol:
             return _markov_labels(m, n), True, n_iter
+        if not largest < math.inf:  # NaN (see above)
+            raise ValueError(
+                f"the Markov flow at inflation {inflation!r} holds NaN after round {n_iter}: "
+                "a column sum fell below 1/DBL_MAX; lower the inflation"
+            )
     return _markov_labels(m, n), False, max_iter
 
 

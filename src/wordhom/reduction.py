@@ -46,7 +46,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .chains import Chain
-from .complexes import Filtration
+from .complexes import Filtration, _checked
 from .fields import PrimeField
 from .simplices import Simplex
 
@@ -358,10 +358,8 @@ def betti_at(filtration: Filtration, eps: float, k: int, field: PrimeField) -> i
     """k-th Betti number of the complex at scale eps: the number of dim-k
     bars alive at eps. eps must be finite; no bar is alive at ``inf``,
     essential ones included."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if not math.isfinite(eps):
-        raise ValueError(f"scale {eps} must be finite")
+    _checked("k", k)
+    _checked("scale", eps)
     return reduce_filtration(filtration, field).barcode().alive_count(k, eps)
 
 

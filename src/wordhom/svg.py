@@ -11,6 +11,7 @@ import math
 from itertools import groupby
 from operator import itemgetter
 
+from .complexes import _checked
 from .reduction import Barcode
 
 CANVAS_WIDTH = 960
@@ -59,10 +60,7 @@ def render_barcode_svg(
             values += set(map(itemgetter(2), rows)) - {math.inf}
         axis_max = max(values) or 1.0
     else:
-        from numbers import Real
-
-        if not isinstance(axis_max, Real) or isinstance(axis_max, bool) or not 0 < axis_max < math.inf:
-            raise ValueError(f"axis_max must be finite and > 0, got {axis_max!r}")
+        _checked("axis_max", axis_max)
 
     n_bars = sum(len(rows) for _, rows in groups)
     height = (

@@ -61,3 +61,15 @@ def random_dissimilarity_graph(rng: random.Random, n_min=5, n_max=12, p_edge=0.4
             if rng.random() < p_edge:
                 edges[(i, j)] = round(rng.uniform(0.05, 0.95), 2)
     return WeightedGraph.from_dissimilarities(n, edges)
+
+
+def nan_flow_graph():
+    """A 14-vertex graph whose flow at inflation 400 (prune 0) drives a
+    column sum below 1/DBL_MAX in its first round."""
+    rng = random.Random(16)
+    edges = {}
+    for i in range(14):
+        for j in range(i + 1, 14):
+            if rng.random() < 0.4:
+                edges[(i, j)] = 1 - 0.99 * rng.random()
+    return WeightedGraph(14, edges)

@@ -14,6 +14,7 @@ from wordhom import Filtration, PrimeField, build_vr_filtration, parse_edge_list
 from wordhom.cli import main
 from wordhom.exports import read_filtration_tsv
 from oracle import betti_at
+from conftest import nan_flow_graph
 
 EDGES = "CAT\tDOG\t0.4\nDOG\tEEL\t0.75\nCAT\tEEL\t0.7\nFOX\tGNU\t0.9\n"
 
@@ -317,6 +318,17 @@ def test_mcl_rejects_bad_parameters(edges_tsv, capsys):
         assert code == 2, argv
         assert err.startswith("wordhom: error: ") and name in err, argv
         assert stdout == "", argv
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow in the reciprocal of the sum
+def test_mcl_flow_that_holds_nan_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "edges.tsv"
+    path.write_text("".join(f"W{i:02d}\tW{j:02d}\t{w!r}\n" for i, j, w in nan_flow_graph().pair_sorted_edges()))
+    argv = ["--in", str(path), "--method", "mcl", "--prune", "0", "--max-iter", "30", "--out", "-"]
+    for command in (["cluster", "--inflation", "400"], ["sweep", "--grid", "2,400"]):
+        code, stdout, err = run(command + argv, capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("wordhom: error: the Markov flow at inflation 400.0 holds NaN after round 1: ")
 
 
 def test_sweep_default_grid_and_argmax(edges_tsv, tmp_path, capsys):

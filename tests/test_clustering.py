@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import re
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,6 +21,7 @@ from wordhom import (
     threshold_clusters,
 )
 from oracle import modularity_loop, scaled
+from conftest import nan_flow_graph
 
 
 def random_weighted_graph(rng, n_min=5, n_max=14, p_edge=0.5):
@@ -338,6 +340,18 @@ def test_real_parameters_refuse_bools_and_non_reals(name, value):
     if name in ("prune", "tol", "self_loop"):
         with pytest.raises(ValueError, match=f"^{name} must be a real number"):
             sweep(two_cliques(), "mcl", [2.0], **{name: value})
+
+
+def test_a_flow_that_holds_nan_is_refused_with_its_inflation():
+    """A column sum below 1/DBL_MAX has an infinite reciprocal, and the
+    flow fills with NaN: it stops there with a ValueError naming the
+    inflation, instead of running to max_iter and reading a partition off NaN."""
+    g = nan_flow_graph()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in the reciprocal
+        with pytest.raises(ValueError, match=r"^the Markov flow at inflation 400\.0 holds NaN after round 1: "):
+            markov_clusters(g, 400.0, prune=0.0, max_iter=30)
+    assert markov_clusters(g, 2.0, prune=0.0, max_iter=30).converged
 
 
 def test_mcl_sweep_checks_every_point_first(monkeypatch):

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +14,15 @@ from wordhom import (
     Simplex,
     SimplexBudgetError,
     WeightedGraph,
+    betti_at,
     build_vr_filtration,
+    markov_clusters,
     persistence_clusters,
     reduce_filtration,
+    render_barcode_svg,
     sweep,
+    synthetic_corpus,
+    threshold_clusters,
 )
 from wordhom.exports import write_filtration_tsv
 from oracle import complex_at, event_values, face_closure, validate_complex
@@ -235,21 +241,24 @@ def test_reduction_leaves_face_positions_unmade():
 def test_max_dim_must_be_a_non_negative_integer():
     g = WeightedGraph(3, {(0, 1): 0.5, (1, 2): 0.5})
     for bad in (2.5, True, -1, None):
-        with pytest.raises(ValueError, match=f"max_dim must be an integer >= 0, got {bad!r}"):
+        rule = "an integer >= 0" if bad == -1 else "an integer"
+        with pytest.raises(ValueError, match=f"^max_dim must be {rule}, got {bad!r}$"):
             build_vr_filtration(g, max_dim=bad)
 
 
 def test_max_eps_must_be_a_real_in_the_unit_interval():
     g = WeightedGraph(3, {(0, 1): 0.5, (1, 2): 0.5})
     for bad in (True, "1", None, -0.1, 1.5, math.nan):
-        with pytest.raises(ValueError, match=rf"max_eps must lie in \[0, 1\], got {bad!r}"):
+        rule = "lie in [0, 1]" if isinstance(bad, float) else "be a real number"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'max_eps must {rule}, got {bad!r}')}$"):
             build_vr_filtration(g, max_eps=bad)
 
 
 def test_max_simplices_must_be_a_non_negative_integer():
     g = WeightedGraph(3, {(0, 1): 0.5, (1, 2): 0.5})
     for bad in (2.5, True, -1):
-        with pytest.raises(ValueError, match=f"max_simplices must be an integer >= 0, got {bad!r}"):
+        rule = "an integer >= 0" if bad == -1 else "an integer"
+        with pytest.raises(ValueError, match=f"^max_simplices must be {rule}, got {bad!r}$"):
             build_vr_filtration(g, max_simplices=bad)
     assert len(build_vr_filtration(WeightedGraph(0, {}), max_simplices=0)) == 0
 
@@ -393,3 +402,88 @@ def test_filtration_refuses_broken_entries(case):
     entries, message = BROKEN_ENTRIES[case]
     with pytest.raises(ValueError, match=f"^filtration violates its invariants: .*{message}"):
         Filtration([(Simplex(vs), b) for vs, b in entries])
+
+
+def test_total_weight_adds_left_to_right():
+    """M, and with it every modularity Q, is one float on every
+    interpreter: a plain left fold in edge insertion order, as
+    ``degrees`` adds, where ``sum()`` compensates from Python 3.12 on."""
+    g = WeightedGraph(12, {(0, 1): 1.0, **{(0, j): 1e-16 for j in range(2, 12)}})
+    assert g.total_weight() == 1.0  # a compensated sum gives 1.000000000000001
+    graph = synthetic_corpus(500, seed=1).to_weighted_graph()
+    total = 0.0
+    for w in graph.__getstate__()[1].values():
+        total += w
+    assert repr(graph.total_weight()) == repr(total) == "466.1531843662352"
+
+
+def _path_graph():
+    return WeightedGraph(3, {(0, 1): 0.5, (1, 2): 0.25})
+
+
+def _betti(scale, k):
+    return betti_at(build_vr_filtration(_path_graph(), max_dim=1), scale, k, PrimeField(2))
+
+
+def _svg(axis_max):
+    barcode = reduce_filtration(build_vr_filtration(_path_graph()), PrimeField(2)).barcode()
+    return render_barcode_svg(barcode, axis_max=axis_max)
+
+
+# every public numeric parameter, with the calls that take it; x goes in its place
+NUMERIC_PARAMETERS = {
+    "eps": [lambda x: threshold_clusters(_path_graph(), x), lambda x: sweep(_path_graph(), "threshold", [0.5, x])],
+    "tau": [lambda x: persistence_clusters(_path_graph(), x), lambda x: sweep(_path_graph(), "persistence", [0.5, x])],
+    "inflation": [lambda x: markov_clusters(_path_graph(), x), lambda x: sweep(_path_graph(), "mcl", [2.0, x])],
+    **{
+        name: [
+            lambda x, name=name: markov_clusters(_path_graph(), 2.0, **{name: x}),
+            lambda x, name=name: sweep(_path_graph(), "mcl", [2.0], **{name: x}),
+        ]
+        for name in ("prune", "tol", "self_loop", "expansion", "max_iter")
+    },
+    "jobs": [
+        lambda x, method=method, point=point: sweep(_path_graph(), method, [point], jobs=x)
+        for method, point in (("threshold", 0.5), ("persistence", 0.5), ("mcl", 2.0))
+    ],
+    **{
+        name: [lambda x, name=name: build_vr_filtration(_path_graph(), **{name: x})]
+        for name in ("max_eps", "max_dim", "max_simplices")
+    },
+    "scale": [lambda x: _betti(x, 0)],
+    "k": [lambda x: _betti(0.5, x)],
+    "vertex count": [lambda x: WeightedGraph(x, {}), lambda x: WeightedGraph.from_dissimilarities(x, {})],
+    "axis_max": [_svg],
+}
+INTEGER_PARAMETERS = {"expansion", "max_iter", "jobs", "max_dim", "max_simplices", "k", "vertex count"}
+INFINITY_ALLOWED = {"tau", "tol"}
+
+
+def _refused(name):
+    """True, a numeric string, NaN, each infinity the parameter does not
+    take, and 1.5 where it takes only integers."""
+    integer = name in INTEGER_PARAMETERS
+    values = [True, "2" if integer else "0.5", math.nan, -math.inf]
+    values += [] if name in INFINITY_ALLOWED else [math.inf]
+    return values + ([1.5] if integer else [])
+
+
+@pytest.mark.parametrize(
+    "name, route, value",
+    [(name, route, x) for name, calls in NUMERIC_PARAMETERS.items() for route in range(len(calls))
+     for x in _refused(name)],
+)
+def test_every_numeric_parameter_refuses_what_its_rule_does_not_take(name, route, value):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        NUMERIC_PARAMETERS[name][route](value)
+
+
+def test_every_rule_is_a_public_parameter_and_other_numbers_pass():
+    from wordhom.complexes import _RULES
+    from fractions import Fraction
+
+    assert set(_RULES) == set(NUMERIC_PARAMETERS)
+    g = _path_graph()
+    assert threshold_clusters(g, Fraction(1, 2)) == threshold_clusters(g, 0.5)
+    assert [row.param for row in sweep(g, "threshold", [1, Fraction(1, 4)]).rows] == [1.0, 0.25]
+    assert type(sweep(g, "threshold", [1]).rows[0].param) is float

@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wordhom import PrimeField, WeightedGraph, build_vr_filtration, persistence_clusters, reduce_filtration
+from wordhom import PrimeField, WeightedGraph, build_vr_filtration, persistence_clusters, reduce_filtration, sweep
 
 
 @st.composite
@@ -105,3 +105,42 @@ def test_persistence_partitions_are_nested_as_tau_grows(graph, data):
         parts = [persistence_clusters(g, tau, mode).labels for tau in taus]
         for finer, coarser in zip(parts, parts[1:]):
             assert len(set(zip(finer, coarser))) == len(set(finer))
+
+
+def brute_force_persistence(n, edges, tau, vertex_birth):
+    """Persistence clustering from its definition, with nothing carried
+    between edges but the vertex sets: edges in (d, i, j) order; a
+    component's birth is recomputed as the least birth of its vertices,
+    and an edge between two components merges them if d minus the
+    younger (larger) birth is at most tau."""
+    births = [0.0] * n
+    if vertex_birth == "first-edge":
+        births = [min((d for e, d in edges.items() if v in e), default=0.0) for v in range(n)]
+    components = [{v} for v in range(n)]
+    for d, i, j in sorted((d, i, j) for (i, j), d in edges.items()):
+        a = next(c for c in components if i in c)
+        b = next(c for c in components if j in c)
+        if a is not b and d - max(min(births[v] for v in a), min(births[v] for v in b)) <= tau:
+            components.remove(b)
+            a |= b
+    return {frozenset(c) for c in components}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(relabelled_graphs())
+def test_persistence_clusters_equal_the_brute_force_definition(graph):
+    """At every lifetime the graph can produce (each decision changes
+    only there) and at inf, under both vertex-birth modes, the
+    partitions and the sweep's cluster counts are the brute force's."""
+    n, edges, _ = graph
+    g = WeightedGraph.from_dissimilarities(n, edges)
+    values = {0.0, *edges.values()}
+    taus = sorted({b - a for a in values for b in values if b >= a}) + [math.inf]
+    for mode in ("first-edge", "zero"):
+        expected = [brute_force_persistence(n, edges, tau, mode) for tau in taus]
+        for tau, parts in zip(taus, expected):
+            labels = persistence_clusters(g, tau, mode).labels
+            assert {frozenset(v for v in range(n) if labels[v] == k) for k in set(labels)} == parts
+        if g.total_weight() > 0:  # a sweep scores its rows, and modularity needs weight
+            rows = sweep(g, "persistence", taus, vertex_birth=mode).rows
+            assert [row.n_clusters for row in rows] == list(map(len, expected))
