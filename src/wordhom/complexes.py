@@ -45,6 +45,8 @@ _RULES = {
     "max_iter": (int, lambda v: v >= 1, "must be an integer >= 1"),
     "jobs": (int, lambda v: v >= 1, "must be >= 1, got {}"),
     "vertex count": (int, lambda v: v >= 0, "must be non-negative"),
+    "n_words": (int, lambda v: v >= 0, "must be >= 0, got {}"),
+    "group_size": (int, lambda v: v >= 2, "must be >= 2, got {}"),
 }
 
 

@@ -100,15 +100,16 @@ def write_cycles_tsv(
     include_zero_length: bool = False,
 ) -> None:
     """Representative cycles, one `k<TAB>coeff<TAB>v0,...,vk` row per
-    term, grouped under a comment line naming the interval."""
+    term in vertex order, grouped under a comment line naming the
+    interval. It makes no :class:`Interval`, ``Simplex`` or ``Chain``."""
     write_header(stream, config)
+    vertices = reduced.filtration.vertices
     barcode = reduced.barcode()
-    for iv in barcode.all_intervals(include_zero_length):
-        stream.write(f"# interval k={iv.dim} birth={iv.birth!r} death={_fmt_value(iv.death)}\n")
-        cycle = reduced.representative(iv)
-        for simplex, coeff in cycle.items():
-            verts = ",".join(map(str, simplex.vertices))
-            stream.write(f"{iv.dim}\t{coeff}\t{verts}\n")
+    for k in barcode.dims:
+        for _, birth, death, i, j in barcode._rows(k, include_zero_length):
+            stream.write(f"# interval k={k} birth={birth!r} death={_fmt_value(death)}\n")
+            terms = sorted([(vertices[r], v) for r, v in reduced._cycle(k, i, j)])
+            stream.write("".join([f"{k}\t{v}\t{','.join(map(str, vs))}\n" for vs, v in terms]))
 
 
 def write_filtration_tsv(stream: TextIO, filtration, config: Mapping[str, object] | None = None) -> None:

@@ -194,23 +194,25 @@ def flow(
     # every column holds its loop, so bincount sees no negative label
     _sparsetools.cs_graph_components(n, *m[:2], component)
     size = np.bincount(component)[component]
-    m = _normalize_columns(m)
-    for n_iter in range(1, max_iter + 1):
-        prev = m
-        for _ in range(expansion - 1):
-            m = _product(m, prev, n, size)
-        np.power(m[2], inflation, out=m[2])  # the product's own buffer
-        m = _rescale_prune_rescale(m, prune)
-        if len(m[2]) != len(prev[2]) and min(m[2].min(), prev[2].min()) >= tol:
-            continue  # some entry v >= tol is stored in one of them only: |difference| >= v there
-        largest = float(np.abs(_binop("minus", m, prev)[2]).max(initial=0.0))  # its buffer dies here, not a round later
-        if largest < tol:
-            return _markov_labels(m, n), True, n_iter
-        if not largest < math.inf:  # NaN (see above)
-            raise ValueError(
-                f"the Markov flow at inflation {inflation!r} holds NaN after round {n_iter}: "
-                "a column sum fell below 1/DBL_MAX; lower the inflation"
-            )
+    with np.errstate(over="ignore"):  # an infinite reciprocal is refused below as NaN, not warned
+        m = _normalize_columns(m)
+        for n_iter in range(1, max_iter + 1):
+            prev = m
+            for _ in range(expansion - 1):
+                m = _product(m, prev, n, size)
+            np.power(m[2], inflation, out=m[2])  # the product's own buffer
+            m = _rescale_prune_rescale(m, prune)
+            if len(m[2]) != len(prev[2]) and min(m[2].min(), prev[2].min()) >= tol:
+                continue  # some entry v >= tol is stored in one of them only: |difference| >= v there
+            # the difference's buffer dies here, not a round later
+            largest = float(np.abs(_binop("minus", m, prev)[2]).max(initial=0.0))
+            if largest < tol:
+                return _markov_labels(m, n), True, n_iter
+            if not largest < math.inf:  # NaN (see above)
+                raise ValueError(
+                    f"the Markov flow at inflation {inflation!r} holds NaN after round {n_iter}: "
+                    "a column sum fell below 1/DBL_MAX; lower the inflation"
+                )
     return _markov_labels(m, n), False, max_iter
 
 

@@ -9,9 +9,10 @@ would reduce to zero, so it is skipped ("clearing", Chen & Kerber 2011,
 "Persistent homology computation with a twist"); top-dimension simplices
 have empty coboundaries and cost nothing. The boundary and coboundary
 matrices have the same persistence pairing, so the barcode is that of
-the standard left-to-right boundary reduction. No :class:`Simplex` is
-made until a cycle is asked for, and no :class:`Interval` until a caller
-asks for one: a barcode stores its bars as plain tuples.
+the standard left-to-right boundary reduction. No :class:`Simplex` or
+:class:`Chain` is made until :meth:`ReducedFiltration.representative` is
+called (the cycle export reads positions), and no :class:`Interval`
+until a caller asks for one: a barcode stores its bars as plain tuples.
 
 Over Z/2 a column is an ``int`` with bit r set when row r is nonzero,
 so adding a column is ``^``; over Z/p it is a dict from row to entry.
@@ -29,12 +30,13 @@ index is the unreduced pivot; a column is built only when an addition
 needs it.
 
 Representative cycles need reduced boundary columns, which the
-cohomology pass does not produce. :meth:`ReducedFiltration.representative`
-builds them one dimension at a time on first use, by left-to-right
-reduction of only the columns that matter there: the death columns,
-which are the only ones that own a pivot, and the essential columns,
-whose accumulated chains are the essential cycles. The cycles are
-therefore those of the full left-to-right reduction.
+cohomology pass does not produce. ``ReducedFiltration._cycle``, the term
+walk that ``representative()`` and the cycle export share, builds them
+one dimension at a time on first use, by left-to-right reduction of
+only the columns that matter there: the death columns, which are the
+only ones that own a pivot, and the essential columns, whose
+accumulated chains are the essential cycles. The cycles are therefore
+those of the full left-to-right reduction.
 """
 
 from __future__ import annotations
@@ -122,6 +124,8 @@ class Barcode:
     def alive_count(self, k: int, eps: float) -> int:
         """Number of dim-k intervals containing eps; equals the k-th
         Betti number of the complex at that scale."""
+        _checked("k", k)
+        _checked("scale", eps)
         return sum(1 for _, birth, death, _, _ in self._rows(k) if birth <= eps < death)
 
     def __eq__(self, other) -> bool:
@@ -252,31 +256,38 @@ class ReducedFiltration:
         self._boundary_cache[dim] = columns
         return columns
 
-    def representative(self, interval: Interval) -> Chain:
-        """A cycle alive exactly on the interval.
+    def _cycle(self, dim: int, i: int, j: int | None) -> list[tuple[int, int]]:
+        """The terms of the cycle of the dim-bar born at position i and
+        killed at j (None if essential), as (position, coefficient) pairs.
 
         For a class killed by a simplex, the reduced boundary column of
         the killer; for a dim-0 class, the single younger vertex; for an
         essential class, the accumulated combination whose boundary
         vanished.
         """
+        if j is None:
+            _, terms = self._boundary_columns(dim)[i]
+        elif dim == 0:
+            return [(i, 1)]
+        else:
+            terms, _ = self._boundary_columns(dim + 1)[j]
+        if isinstance(terms, dict):
+            return list(terms.items())
+        out = []  # a Z/2 bitset: entry 1 on each set bit
+        while terms:  # terms & -terms is the lowest set bit, and terms & (terms - 1) clears it
+            out.append(((terms & -terms).bit_length() - 1, 1))
+            terms &= terms - 1
+        return out
+
+    def representative(self, interval: Interval) -> Chain:
+        """A cycle alive exactly on the interval, which must be one of
+        this reduction's bars; see :meth:`_cycle`."""
         vertices = self.filtration.vertices
         i = interval.birth_index
         j = interval.death_index
         if i is None or self._death_of.get(i, -1) != j or len(vertices[i]) - 1 != interval.dim:
             raise ValueError(f"interval {interval} does not belong to this reduction")
-        if j is None:
-            _, terms = self._boundary_columns(interval.dim)[i]
-        elif interval.dim == 0:
-            terms = {i: 1}
-        else:
-            terms, _ = self._boundary_columns(interval.dim + 1)[j]
-        if not isinstance(terms, dict):  # a Z/2 bitset: entry 1 on each set bit
-            bits, terms = terms, {}
-            while bits:  # bits & -bits is the lowest set bit, and bits & (bits - 1) clears it
-                terms[(bits & -bits).bit_length() - 1] = 1
-                bits &= bits - 1
-        return Chain(interval.dim, {Simplex(vertices[r]): v for r, v in terms.items()})
+        return Chain(interval.dim, {Simplex(vertices[r]): v for r, v in self._cycle(interval.dim, i, j)})
 
     def __repr__(self) -> str:
         return (
@@ -357,7 +368,7 @@ def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltr
 def betti_at(filtration: Filtration, eps: float, k: int, field: PrimeField) -> int:
     """k-th Betti number of the complex at scale eps: the number of dim-k
     bars alive at eps. eps must be finite; no bar is alive at ``inf``,
-    essential ones included."""
+    essential ones included. Both are checked before the reduction runs."""
     _checked("k", k)
     _checked("scale", eps)
     return reduce_filtration(filtration, field).barcode().alive_count(k, eps)

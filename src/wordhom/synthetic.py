@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+from .complexes import _checked
 from .corpus import AssociationCorpus
 
 DEFAULT_SEED = 745021
@@ -32,8 +33,8 @@ def synthetic_corpus(
     groups, so there must be at least three groups, and a word enters
     the corpus only through a pair, so each group needs two words.
     """
-    if group_size < 2:
-        raise ValueError(f"group_size must be >= 2, got {group_size}")
+    _checked("group_size", group_size)
+    _checked("n_words", n_words)
     if n_words < 3 * group_size:
         raise ValueError(f"n_words must be at least 3 * group_size = {3 * group_size}, got {n_words}")
     if n_words % group_size:

@@ -320,7 +320,7 @@ def test_mcl_rejects_bad_parameters(edges_tsv, capsys):
         assert stdout == "", argv
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow in the reciprocal of the sum
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the refusal prints its error line and no numpy warning
 def test_mcl_flow_that_holds_nan_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "edges.tsv"
     path.write_text("".join(f"W{i:02d}\tW{j:02d}\t{w!r}\n" for i, j, w in nan_flow_graph().pair_sorted_edges()))

@@ -348,7 +348,7 @@ def test_a_flow_that_holds_nan_is_refused_with_its_inflation():
     inflation, instead of running to max_iter and reading a partition off NaN."""
     g = nan_flow_graph()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in the reciprocal
+        warnings.simplefilter("error", RuntimeWarning)  # the overflow in the reciprocal is expected, not warned
         with pytest.raises(ValueError, match=r"^the Markov flow at inflation 400\.0 holds NaN after round 1: "):
             markov_clusters(g, 400.0, prune=0.0, max_iter=30)
     assert markov_clusters(g, 2.0, prune=0.0, max_iter=30).converged

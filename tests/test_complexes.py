@@ -425,9 +425,12 @@ def _betti(scale, k):
     return betti_at(build_vr_filtration(_path_graph(), max_dim=1), scale, k, PrimeField(2))
 
 
+def _barcode():
+    return reduce_filtration(build_vr_filtration(_path_graph()), PrimeField(2)).barcode()
+
+
 def _svg(axis_max):
-    barcode = reduce_filtration(build_vr_filtration(_path_graph()), PrimeField(2)).barcode()
-    return render_barcode_svg(barcode, axis_max=axis_max)
+    return render_barcode_svg(_barcode(), axis_max=axis_max)
 
 
 # every public numeric parameter, with the calls that take it; x goes in its place
@@ -450,12 +453,16 @@ NUMERIC_PARAMETERS = {
         name: [lambda x, name=name: build_vr_filtration(_path_graph(), **{name: x})]
         for name in ("max_eps", "max_dim", "max_simplices")
     },
-    "scale": [lambda x: _betti(x, 0)],
-    "k": [lambda x: _betti(0.5, x)],
+    "scale": [lambda x: _betti(x, 0), lambda x: _barcode().alive_count(0, x)],
+    "k": [lambda x: _betti(0.5, x), lambda x: _barcode().alive_count(x, 0.5)],
     "vertex count": [lambda x: WeightedGraph(x, {}), lambda x: WeightedGraph.from_dissimilarities(x, {})],
     "axis_max": [_svg],
+    "n_words": [synthetic_corpus],
+    "group_size": [lambda x: synthetic_corpus(60, x)],
 }
-INTEGER_PARAMETERS = {"expansion", "max_iter", "jobs", "max_dim", "max_simplices", "k", "vertex count"}
+INTEGER_PARAMETERS = {
+    "expansion", "max_iter", "jobs", "max_dim", "max_simplices", "k", "vertex count", "n_words", "group_size"
+}
 INFINITY_ALLOWED = {"tau", "tol"}
 
 

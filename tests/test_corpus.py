@@ -193,6 +193,9 @@ def test_synthetic_corpus_needs_three_groups():
     for group_size in (1, 0, -20):
         with pytest.raises(ValueError, match="group_size must be >= 2"):
             synthetic_corpus(n_words=60, group_size=group_size)
+    for args, name in ((("600",), "n_words"), ((600, "20"), "group_size"), ((600.0,), "n_words"), ((True,), "n_words")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            synthetic_corpus(*args)
     smallest = synthetic_corpus(n_words=60)
     assert smallest.n_words == 60 and smallest == synthetic_corpus(n_words=60)
 

@@ -227,6 +227,29 @@ def test_vr60_outputs_match_recorded_digests(p):
         assert digests == VR60_DIGESTS[p, zero], f"vr60 over Z/{p} (zero-length bars {zero}): TSV or SVG differs"
 
 
+# sha256 of the vr30 cycles TSV at max-dim 3, keyed by (field, zero-length
+# bars included), written by the export that read each cycle through
+# representative()'s Simplex-keyed Chain.
+VR30_CYCLE_DIGESTS = {
+    (2, False): "4368a36809921cd6b24e90936662199a5afb07416bfb4c5ea560dcc4538c05d0",
+    (2, True): "4877966be28aa1e1d5ffb46a26616a3a2d9e8bc57d44f45ed33d64861d97b0d0",
+    (3, False): "c7562370a1c67cf0d956905e9aae6873bcb651689635a38ec94954a5e02473d1",
+    (3, True): "4d65c7854f8f47227a5f3dce840306514803693b9dcc68d3de62aaecb5c2acfe",
+}
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_vr30_cycles_match_recorded_digests(p):
+    """Cycles of hundreds of bars in dims 0-3, which the identity files'
+    small fixtures do not reach."""
+    reduced = reduce_filtration(vr30_filtration(), PrimeField(p))
+    for zero in (False, True):
+        buf = io.StringIO()
+        write_cycles_tsv(buf, reduced, config={"fixture": "vr30", "field": p}, include_zero_length=zero)
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digest == VR30_CYCLE_DIGESTS[p, zero], f"vr30 over Z/{p} (zero-length bars {zero}): cycles TSV differs"
+
+
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweeps_match_recorded_bytes(name):
     expected = (DATA / f"sweep-{name}.tsv").read_text(encoding="utf-8")

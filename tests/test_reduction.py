@@ -194,6 +194,10 @@ def test_betti_refuses_a_scale_that_is_not_finite():
         wordhom.betti_at(filt, 0.5, -1, F2)
     with pytest.raises(ValueError, match="k must be >= 0"):
         wordhom.betti_of_complex(face_closure([Simplex((0, 1))]), -1, F2)
+    barcode = reduce_filtration(filt, F2).barcode()
+    for k, eps, name in ((True, "x", "k"), (0, "x", "scale"), (0, math.nan, "scale"), (-1, 0.5, "k"), (1.0, 0.5, "k")):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            barcode.alive_count(k, eps)
 
 
 def test_dim0_alive_matches_component_count():
@@ -293,18 +297,23 @@ def test_reduce_rejects_broken_filtration():
 
 
 def test_vr_pipeline_makes_no_simplex(monkeypatch):
+    """Neither the pass nor the cycle export makes a Simplex or a Chain."""
+    import io
+
+    from wordhom.chains import Chain
+    from wordhom.exports import write_cycles_tsv
+
     calls = []
-    init = Simplex.__init__
-
-    def counting_init(self, vertices):
-        calls.append(vertices)
-        init(self, vertices)
-
-    monkeypatch.setattr(Simplex, "__init__", counting_init)
+    for cls in (Simplex, Chain):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__: calls.append(args) or init(self, *args))
     g = random_dissimilarity_graph(random.Random(13), n_min=12, n_max=12, p_edge=0.7)
     filt = build_vr_filtration(g, max_dim=3, max_eps=1.0)
-    barcode = reduce_filtration(filt, F3).barcode()
+    reduced = reduce_filtration(filt, F3)
+    barcode = reduced.barcode()
     assert barcode.dims == (0, 1, 2, 3)
+    buf = io.StringIO()
+    write_cycles_tsv(buf, reduced, include_zero_length=True)
+    assert buf.getvalue().count("# interval") == len(barcode.all_intervals())
     assert calls == []
     filt.entries  # the API edge does make them, once each
     filt.entries
