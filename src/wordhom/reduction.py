@@ -42,6 +42,7 @@ those of the full left-to-right reduction.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import cached_property, partial
 from itertools import chain, combinations, groupby, repeat
 from operator import itemgetter
@@ -326,11 +327,12 @@ def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltr
         position = dict(zip(map(vertices.__getitem__, by_dim[d]), by_dim[d])) if cells else {}
         faces = chain.from_iterable(map(combinations, map(vertices.__getitem__, cells), repeat(d + 1)))
         flat = list(map(position.__getitem__, faces))
-        cofaces: list[list[int] | None] = [None] * len(vertices)  # per d-simplex, the flat indices of its cofaces
+        cofaces: list[array | None] = [None] * len(vertices)  # per d-simplex, its cofaces' flat indices
         for i in set(flat):
-            cofaces[i] = []
+            cofaces[i] = array("Q")  # machine ints; "q" would parse each one as an argument, "Q" appends like a list
         for t, i in enumerate(flat):
             cofaces[i].append(t)
+        del position, flat
         owner_of: dict[int, int] = {}  # pivot row -> simplex whose column owns it
         columns: dict[int, Reduced] = {}  # simplex -> column, once built
         empty = _column((), (), p)
@@ -359,6 +361,7 @@ def reduce_filtration(filtration: Filtration, field: PrimeField) -> ReducedFiltr
                 owner_of[row] = i
                 pairs.append((i, cells[last - row]))
         cleared = {cells[last - r] for r in owner_of}
+        del cofaces, owner_of, columns  # freed before the next dimension's are built
 
     pairs.sort(key=lambda pair: pair[1])
     essentials.sort()

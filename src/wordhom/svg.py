@@ -77,7 +77,8 @@ def render_barcode_svg(
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     if config:
         echo = " ".join(f"{k}={config[k]}" for k in sorted(config))
-        out.append(f"<!-- {_escape(echo).replace('--', '- -')} -->")
+        # a comment may hold no "--"; one pass leaves runs of two ("---" gives "- --"), which a second splits
+        out.append(f"<!-- {_escape(echo).replace('--', '- -').replace('--', '- -')} -->")
     out += [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{CANVAS_WIDTH}" height="{height}" '
@@ -108,6 +109,7 @@ def render_barcode_svg(
         )
 
     right = _MARGIN_LEFT + plot_w
+    step = _BAR_HEIGHT + _BAR_GAP
     # an arrowhead's x values are the same for every infinite bar
     base, tip = _fmt(right), _fmt(right + 12)
     y = _MARGIN_TOP
@@ -118,21 +120,24 @@ def render_barcode_svg(
             f'font-size="12" fill="{color}">k = {k} ({len(rows)})</text>'
         )
         y += _GROUP_HEADER
-        # bars sort by (birth, death), so equal spans are adjacent and
-        # each span's rect pieces are made once
+        # bars sort by (birth, death), so equal spans are adjacent: each
+        # span's rect pieces are made once, and its bars joined into one string
         for (birth, death), run in groupby(rows, key=itemgetter(1, 2)):
             x0 = x_of(birth)
             infinite = death == math.inf
             width = max((right if infinite else x_of(death)) - x0, 1.0)
             head = f'<rect x="{_fmt(x0)}" y="'
             tail = f'" width="{_fmt(width)}" height="{_BAR_HEIGHT}" fill="{color}"/>'
-            for _ in run:
-                out.append(f"{head}{y}{tail}")
-                if infinite:  # its y values are whole numbers, which _fmt prints with ".00"
-                    out.append(
-                        f'<polygon points="{base},{y - 2}.00 {tip},{y + _BAR_HEIGHT // 2}.00 '
-                        f'{base},{y + _BAR_HEIGHT + 2}.00" fill="{color}"/>'
-                    )
-                y += _BAR_HEIGHT + _BAR_GAP
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+            tops = range(y, y + step * len(list(run)), step)
+            if infinite:  # an arrowhead's y values are whole numbers, which _fmt prints with ".00"
+                bars = [
+                    f'{head}{top}{tail}\n<polygon points="{base},{top - 2}.00 {tip},{top + _BAR_HEIGHT // 2}.00 '
+                    f'{base},{top + _BAR_HEIGHT + 2}.00" fill="{color}"/>'
+                    for top in tops
+                ]
+            else:
+                bars = [f"{head}{top}{tail}" for top in tops]
+            out.append("\n".join(bars))
+            y = tops.stop
+    out.append("</svg>\n")
+    return "\n".join(out)

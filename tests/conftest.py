@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -61,6 +62,13 @@ def random_dissimilarity_graph(rng: random.Random, n_min=5, n_max=12, p_edge=0.4
             if rng.random() < p_edge:
                 edges[(i, j)] = round(rng.uniform(0.05, 0.95), 2)
     return WeightedGraph.from_dissimilarities(n, edges)
+
+
+def vr60_graph():
+    """n=60 with half of the 1,770 pairs as edges, strengths in (0.01, 1]."""
+    rng = random.Random(60)
+    pairs = sorted(rng.sample(list(itertools.combinations(range(60), 2)), 885))
+    return WeightedGraph(60, {e: 1.0 - 0.99 * rng.random() for e in pairs})
 
 
 def nan_flow_graph():

@@ -21,7 +21,6 @@ for byte. To rewrite them after a deliberate change of output, run
 
 import hashlib
 import io
-import itertools
 import random
 from pathlib import Path
 
@@ -30,7 +29,6 @@ import pytest
 from wordhom import (
     Filtration,
     PrimeField,
-    WeightedGraph,
     build_vr_filtration,
     reduce_filtration,
     render_barcode_svg,
@@ -45,7 +43,7 @@ from wordhom.exports import (
     write_filtration_tsv,
     write_sweep_tsv,
 )
-from conftest import circle_filtration, random_dissimilarity_graph, shell_arm_complex
+from conftest import circle_filtration, random_dissimilarity_graph, shell_arm_complex, vr60_graph
 
 DATA = Path(__file__).parent / "data" / "identity"
 FIELDS = (2, 3)
@@ -174,13 +172,6 @@ def test_exports_match_recorded_bytes(name, p):
 def test_pair_indices_match_recorded(p):
     expected = (DATA / f"vr30-p{p}.indices.tsv").read_text(encoding="utf-8")
     assert render_indices(p) == expected, f"vr30 over Z/{p}: pairs or essentials differ from the recorded ones"
-
-
-def vr60_graph():
-    """n=60 with half of the 1,770 pairs as edges, strengths in (0.01, 1]."""
-    rng = random.Random(60)
-    pairs = sorted(rng.sample(list(itertools.combinations(range(60), 2)), 885))
-    return WeightedGraph(60, {e: 1.0 - 0.99 * rng.random() for e in pairs})
 
 
 # sha256 of the vr60 barcode TSV and SVG at max-dim 3, keyed by

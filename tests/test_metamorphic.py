@@ -1,16 +1,24 @@
 """Properties checked against routes that share no code with the ones
 they check: the barcode of the same graph under other vertex ids and
 under an increasing remap of its dissimilarities, the vertex births read
-off the edge list, the minimum spanning forest of ``networkx``, and the
-nesting of persistence partitions."""
+off the edge list, the minimum spanning forest of ``networkx``, the
+nesting of persistence partitions, and Markov flow under other vertex ids."""
 
 import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from wordhom import PrimeField, WeightedGraph, build_vr_filtration, persistence_clusters, reduce_filtration, sweep
+from wordhom import (
+    PrimeField,
+    WeightedGraph,
+    build_vr_filtration,
+    markov_clusters,
+    persistence_clusters,
+    reduce_filtration,
+    sweep,
+)
 
 
 @st.composite
@@ -144,3 +152,79 @@ def test_persistence_clusters_equal_the_brute_force_definition(graph):
         if g.total_weight() > 0:  # a sweep scores its rows, and modularity needs weight
             rows = sweep(g, "persistence", taus, vertex_birth=mode).rows
             assert [row.n_clusters for row in rows] == list(map(len, expected))
+
+
+PATH5 = {(i, i + 1): 0.5 for i in range(4)}  # the path 0-1-2-3-4, its own mirror image
+
+
+def test_markov_partition_is_not_exactly_invariant_under_relabelling():
+    """The lowest-attractor rule breaks exact invariance. On the path
+    0-1-2-3-4 at inflation 2 the middle vertex is fed by the systems of
+    both ends and joins the one holding the lower id. Mirroring the ids
+    (v -> 4 - v) gives back the same graph, so the same labels, which
+    name the mirrored partition in the old ids."""
+    pytest.importorskip("scipy")
+    labels = markov_clusters(WeightedGraph.from_dissimilarities(5, PATH5), 2.0).clustering.labels
+    assert labels == (0, 0, 0, 1, 1)  # {0, 1, 2} and {3, 4}; in the mirrored ids {0, 1} and {2, 3, 4}
+
+
+def markov_flow(graph, inflation):
+    """The labels of ``markov_clusters`` and the converged flow they were
+    read from, as a dense matrix: entry [a, v] is the flow from v to a."""
+    np = pytest.importorskip("numpy")
+    from wordhom import markov
+
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(markov, "_markov_labels", lambda m, n, labels=markov._markov_labels: seen.append(m) or labels(m, n))
+        labels = markov_clusters(graph, inflation).clustering.labels
+    indptr, indices, data = seen[0]
+    flow = np.zeros((graph.n, graph.n))
+    flow[indices, np.repeat(np.arange(graph.n), np.diff(indptr))] = data
+    return labels, flow
+
+
+def lowest_attractor_partition(flow, ids):
+    """The partition a converged flow gives when vertex v carries id
+    ids[v]: attractors (a positive diagonal entry) sharing an entry form
+    one system, each vertex joins the system feeding it (a positive entry
+    in its column) that holds the lowest id, and a vertex fed by none is
+    alone."""
+    n = len(flow)
+    attractors = [a for a in range(n) if flow[a, a] > 0]
+    system = {a: frozenset([a]) for a in attractors}
+    for a, b in combinations(attractors, 2):
+        if flow[a, b] > 0 or flow[b, a] > 0:
+            merged = system[a] | system[b]
+            system.update(dict.fromkeys(merged, merged))
+    joins = {}
+    for v in range(n):
+        feeding = [system[a] for a in attractors if flow[a, v] > 0]
+        joins[v] = min(feeding, key=lambda s: min(ids[a] for a in s)) if feeding else v
+    return {frozenset(v for v in range(n) if joins[v] == c) for c in set(joins.values())}
+
+
+def partition(labels, ids):
+    """The sets of vertices with equal labels, where vertex v has label labels[ids[v]]."""
+    return {frozenset(v for v in range(len(ids)) if labels[ids[v]] == k) for k in set(labels)}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(relabelled_graphs(), st.sampled_from((1.4, 2.0, 3.0)))
+@example((5, PATH5, [4, 3, 2, 1, 0]), 2.0)
+def test_markov_clusters_are_invariant_under_relabelling_up_to_the_lowest_attractor_rule(graph, inflation):
+    """The flow of the relabelled graph is the flow of the graph with its
+    rows and columns relabelled (up to rounding, with the same support),
+    and each partition is the lowest-attractor rule applied to that one
+    flow under its own ids: so the two differ at most in where a vertex
+    fed by several systems goes."""
+    np = pytest.importorskip("numpy")
+    n, edges, perm = graph
+    relabelled = {tuple(sorted((perm[i], perm[j]))): d for (i, j), d in edges.items()}
+    labels, flow = markov_flow(WeightedGraph.from_dissimilarities(n, edges), inflation)
+    new_labels, new_flow = markov_flow(WeightedGraph.from_dissimilarities(n, relabelled), inflation)
+    in_old_ids = new_flow[np.ix_(perm, perm)]
+    assert np.array_equal(in_old_ids > 0, flow > 0)
+    assert np.allclose(in_old_ids, flow, rtol=1e-9, atol=0.0)
+    assert partition(labels, range(n)) == lowest_attractor_partition(flow, range(n))
+    assert partition(new_labels, perm) == lowest_attractor_partition(flow, perm)

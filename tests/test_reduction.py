@@ -18,7 +18,7 @@ from wordhom import (
     WeightedGraph,
 )
 from oracle import betti_at, betti_numbers, betti_of_complex, complex_at, event_values, face_closure
-from conftest import circle_filtration, random_dissimilarity_graph
+from conftest import circle_filtration, random_dissimilarity_graph, vr60_graph
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -345,6 +345,25 @@ def test_a_pass_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_reduction_holds_one_dimension_of_machine_int_state():
+    """On the vr60 complex (max-dim 3, Z/2) the traced allocation peak of
+    the reduction stays under 3.7 MiB; it reads 3.15 MiB, and the bound
+    leaves 17% for other interpreters. With a list of int objects per
+    simplex's cofaces, and each dimension's state held while the next
+    one's was built, it read 4.19 MiB."""
+    import tracemalloc
+
+    filt = build_vr_filtration(vr60_graph(), max_dim=3)
+    reduce_filtration(filt, F2)  # imports outside the trace
+    tracemalloc.start()
+    try:
+        reduce_filtration(filt, F2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.7 * 2**20, peak / 2**20
 
 
 def test_barcode_rejects_negative_length():
